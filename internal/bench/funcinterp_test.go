@@ -3,6 +3,7 @@ package bench
 import (
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -20,11 +21,14 @@ import (
 // sim builds it once and reuses it across every checkpoint interval), the
 // image clone happens outside the timed window, and a forced GC between clone
 // and run keeps scaffolding garbage from being collected on either
-// interpreter's clock. Each side takes the min of three reps.
+// interpreter's clock. Each step-wise rep runs back to back with its
+// superblock rep, so a loaded host slows both sides of a pair alike, and a
+// kernel's speedup is the median of its per-pair ratios.
 func TestFuncInterpSpeedupSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
+	const pairs = 9
 	logGM := 0.0
 	n := 0
 	for _, w := range workload.All() {
@@ -33,37 +37,37 @@ func TestFuncInterpSpeedupSuite(t *testing.T) {
 			t.Fatal(err)
 		}
 		sb := arch.NewSBProgram(pr.P)
-		var ref, got *arch.RunResult
-		swDur, sbDur := time.Duration(1<<62), time.Duration(1<<62)
-		for rep := 0; rep < 3; rep++ {
+		timed := func(run func(*arch.Memory) (*arch.RunResult, error)) (*arch.RunResult, time.Duration) {
 			img := pr.Image.Clone()
 			runtime.GC()
 			start := time.Now()
-			ref, err = arch.RunStepwise(pr.P, img, traceLimit)
-			if d := time.Since(start); d < swDur {
-				swDur = d
-			}
+			res, err := run(img)
+			d := time.Since(start)
 			if err != nil {
 				t.Fatalf("%s: %v", w.Name, err)
 			}
-			img = pr.Image.Clone()
-			runtime.GC()
-			start = time.Now()
-			got, err = sb.Run(img, traceLimit)
-			if d := time.Since(start); d < sbDur {
-				sbDur = d
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", w.Name, err)
-			}
+			return res, d
+		}
+		var ref, got *arch.RunResult
+		var ratios []float64
+		var swDur, sbDur time.Duration
+		for rep := 0; rep < pairs; rep++ {
+			ref, swDur = timed(func(img *arch.Memory) (*arch.RunResult, error) {
+				return arch.RunStepwise(pr.P, img, traceLimit)
+			})
+			got, sbDur = timed(func(img *arch.Memory) (*arch.RunResult, error) {
+				return sb.Run(img, traceLimit)
+			})
+			ratios = append(ratios, float64(swDur)/float64(sbDur))
 		}
 		if !ref.State.RF.Equal(got.State.RF) || !ref.State.Mem.Equal(got.State.Mem) ||
 			ref.State.Retired != got.State.Retired || ref.Loads != got.Loads ||
 			ref.Stores != got.Stores || ref.Branches != got.Branches || ref.Taken != got.Taken {
 			t.Fatalf("%s: superblock diverged from stepwise", w.Name)
 		}
-		speedup := float64(swDur) / float64(sbDur)
-		t.Logf("%-8s %9d insts  stepwise %8s  superblock %8s  %.2fx",
+		sort.Float64s(ratios)
+		speedup := ratios[pairs/2]
+		t.Logf("%-8s %9d insts  last pair: stepwise %8s  superblock %8s  median pair %.2fx",
 			w.Name, ref.State.Retired, swDur.Round(time.Microsecond), sbDur.Round(time.Microsecond), speedup)
 		logGM += math.Log(speedup)
 		n++

@@ -31,7 +31,7 @@ func (in *Inst) Reads(buf []Reg) []Reg {
 	if !in.QP.IsNone() {
 		buf = append(buf, in.QP)
 	}
-	sh := in.Op.Info().Shape
+	sh := in.Op.Shape()
 	if sh.Src1 != RegClassNone && !in.Src1.IsNone() {
 		buf = append(buf, in.Src1)
 	}
@@ -45,7 +45,7 @@ func (in *Inst) Reads(buf []Reg) []Reg {
 // appended to buf to allow reuse. Hardwired registers (r0, p0) are included;
 // callers that care must check Reg.IsZeroReg.
 func (in *Inst) Writes(buf []Reg) []Reg {
-	sh := in.Op.Info().Shape
+	sh := in.Op.Shape()
 	if sh.Dst != RegClassNone && !in.Dst.IsNone() {
 		buf = append(buf, in.Dst)
 	}
@@ -102,7 +102,7 @@ func (in *Inst) String() string {
 		fmt.Fprintf(&b, "(%s) ", in.QP)
 	}
 	b.WriteString(in.Op.Info().Name)
-	sh := in.Op.Info().Shape
+	sh := in.Op.Shape()
 	var dsts, srcs []string
 	if sh.Dst != RegClassNone {
 		dsts = append(dsts, in.Dst.String())
@@ -174,7 +174,7 @@ func (p *Program) Validate() error {
 		if err := in.Validate(); err != nil {
 			return fmt.Errorf("inst %d: %w", i, err)
 		}
-		if in.Op.Info().Shape.Branch {
+		if in.Op.Shape().Branch {
 			if int(in.Target) >= len(p.Insts) {
 				return fmt.Errorf("inst %d: branch target %d out of range", i, in.Target)
 			}

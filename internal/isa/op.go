@@ -274,14 +274,15 @@ var (
 )
 
 // Packed per-opcode property tables, derived from opInfos at package
-// initialization. The cycle loops query Kind/FU/Latency/MemBytes several
-// times per instruction per simulated cycle; indexing a small table avoids
-// copying the whole OpInfo (name string, operand shape) on every query.
+// initialization. The cycle loops query Kind/FU/Latency/MemBytes/Shape
+// several times per instruction per simulated cycle; indexing a small table
+// avoids copying the whole OpInfo (name string included) on every query.
 var (
 	opKinds     [NumOps]Kind
 	opFUs       [NumOps]FUClass
 	opLatencies [NumOps]uint8
 	opMemBytes  [NumOps]uint8
+	opShapes    [NumOps]OperandShape
 )
 
 func init() {
@@ -290,6 +291,7 @@ func init() {
 		opKinds[op] = info.Kind
 		opFUs[op] = info.FU
 		opLatencies[op] = uint8(info.Latency)
+		opShapes[op] = info.Shape
 		switch op {
 		case OpLd1, OpSt1:
 			opMemBytes[op] = 1
@@ -334,6 +336,14 @@ func (op Op) Latency() int {
 		return 1
 	}
 	return int(opLatencies[op])
+}
+
+// Shape returns the operand shape of op.
+func (op Op) Shape() OperandShape {
+	if int(op) >= NumOps {
+		return OperandShape{}
+	}
+	return opShapes[op]
 }
 
 func (op Op) String() string { return op.Info().Name }

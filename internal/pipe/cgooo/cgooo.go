@@ -33,6 +33,7 @@ import (
 	"multipass/internal/bpred"
 	"multipass/internal/isa"
 	"multipass/internal/mem"
+	"multipass/internal/pipe/window"
 	"multipass/internal/sim"
 )
 
@@ -137,26 +138,6 @@ func (m *Machine) RunInterval(ctx context.Context, p *isa.Program, image *arch.M
 	return m.runFrom(ctx, p, image, ck)
 }
 
-type entryState uint8
-
-const (
-	stWaiting entryState = iota
-	stIssued
-	stDone
-)
-
-// entry is one in-flight instruction. Entries live in a ring indexed by
-// seq&mask, and operands rename to at most four producer sequences (QP plus
-// three sources), so the whole window set is a fixed-size value array.
-type entry struct {
-	d          *sim.DynInst
-	state      entryState
-	ndeps      uint8
-	deps       [4]uint64
-	blk        uint64 // owning block id
-	completion uint64
-}
-
 // block is one block window's occupant: a contiguous run of the dynamic
 // stream starting at start, n instructions long, closed once a branch, halt,
 // or the BlockSize cap terminated it.
@@ -166,7 +147,7 @@ type block struct {
 	closed bool
 }
 
-// noSeq marks an empty rename-table slot.
+// noSeq marks no halt retired and no fetch barrier.
 const noSeq = ^uint64(0)
 
 const progressWindow = 1 << 20
@@ -191,15 +172,16 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 	fe := sim.NewFetchUnit(stream, hier, cfg.FetchWidth)
 	fe.StartAt(start)
 
-	// Entries live in a power-of-two ring indexed by seq&mask; capacity is
-	// the whole block-window set (NumWindows x BlockSize). Blocks live in
-	// their own power-of-two ring indexed by block id.
-	ringCap := 1
-	for ringCap < cfg.NumWindows*cfg.BlockSize {
-		ringCap <<= 1
+	// Fetch may run capacity — the whole block-window set, NumWindows x
+	// BlockSize rounded up to a power of two — ahead of the head. The
+	// window's own ring can be larger (it has at least 64 slots), so the
+	// fetch limit uses capacity, never the ring size. Blocks live in their
+	// own power-of-two ring indexed by block id.
+	capacity := 1
+	for capacity < cfg.NumWindows*cfg.BlockSize {
+		capacity <<= 1
 	}
-	ring := make([]entry, ringCap)
-	mask := uint64(ringCap - 1)
+	w := window.New(capacity, start)
 	blkCap := 1
 	for blkCap < cfg.NumWindows {
 		blkCap <<= 1
@@ -211,15 +193,11 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 		wm       sim.WarmMark
 		st       sim.Stats
 		now      uint64
-		base     = start // seq of the oldest in-flight instruction
-		count    int     // live entries
-		blkBase  uint64  // id of the oldest live block
-		blkCount int     // live blocks (occupied windows)
-		open     bool    // youngest live block still accepts instructions
-		lastProd [isa.NumFlatRegs]uint64
+		blkBase  uint64 // id of the oldest live block
+		blkCount int    // live blocks (occupied windows)
+		open     bool   // youngest live block still accepts instructions
 		haltSeq  = noSeq
 		lastWork uint64
-		regBuf   [4]isa.Reg
 		// barrier is the sequence of an in-flight branch whose prediction
 		// is wrong: real hardware fetches the wrong path beyond it, so no
 		// younger instruction may enter the machine until it resolves.
@@ -227,32 +205,14 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 		skip    sim.SkipState
 	)
 	skipOn := !cfg.DisableSkip
-	for i := range lastProd {
-		lastProd[i] = noSeq
-	}
-	entAt := func(seq uint64) *entry { return &ring[seq&mask] }
 	blkAt := func(id uint64) *block { return &blkRing[id&blkMask] }
-
-	rebuildRename := func() {
-		for i := range lastProd {
-			lastProd[i] = noSeq
-		}
-		for k := 0; k < count; k++ {
-			seq := base + uint64(k)
-			for _, reg := range entAt(seq).d.Inst.Writes(regBuf[:0]) {
-				if !reg.IsZeroReg() {
-					lastProd[reg.Flat()] = seq
-				}
-			}
-		}
-	}
 
 	for {
 		if err := sim.PollContext(ctx, now); err != nil {
 			return nil, fmt.Errorf("cgooo: %w", err)
 		}
-		wm.Mark(base, measure, &st, pred, hier)
-		if base >= end {
+		wm.Mark(w.Base(), measure, &st, pred, hier)
+		if w.Base() >= end {
 			// Non-final interval done: every measured sequence has retired
 			// (the final interval instead exits through the halt below).
 			break
@@ -262,33 +222,32 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 		// commit is in program order, so retirement walks the seq order and
 		// frees a window when its block's last instruction leaves.
 		retired := 0
-		for retired < cfg.RetireWidth && count > 0 {
-			if !wm.Marked() && base >= measure {
+		for retired < cfg.RetireWidth && w.Len() > 0 {
+			if !wm.Marked() && w.Base() >= measure {
 				// No retire burst spans the measurement mark; the baseline
 				// lands exactly on the boundary next cycle.
 				break
 			}
-			e := entAt(base)
-			if e.state != stDone || e.completion > now {
-				if e.state == stDone {
-					skip.Note(e.completion)
+			e := w.At(w.Base())
+			if e.State != window.Done || e.Completion > now {
+				if e.State == window.Done {
+					skip.Note(e.Completion)
 				}
 				break
 			}
-			if e.d.Halt {
-				haltSeq = e.d.Seq
+			if e.D.Halt {
+				haltSeq = e.D.Seq
 			}
 			hb := blkAt(blkBase)
-			base++
-			count--
+			w.Retire()
 			st.Retired++
 			retired++
-			if hb.closed && base >= hb.start+uint64(hb.n) {
+			if hb.closed && w.Base() >= hb.start+uint64(hb.n) {
 				blkBase++
 				blkCount--
 			}
 		}
-		fe.Release(base)
+		fe.Release(w.Base())
 		if haltSeq != noSeq {
 			st.Cycles++ // the retire cycle of halt
 			st.Cat[sim.StallExecution]++
@@ -299,11 +258,11 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 		// Dispatch up to FetchWidth instructions in order. A new block needs
 		// a free window; the open block accepts until a branch, halt, or the
 		// BlockSize cap closes it.
-		fe.SetLimit(base + uint64(ringCap))
+		fe.SetLimit(w.Base() + uint64(capacity))
 		inserted := 0
 		winFullIdle := false
 		for inserted < cfg.FetchWidth && barrier == noSeq {
-			seq := base + uint64(count)
+			seq := w.End()
 			if seq >= end {
 				// Interval end: nothing past it enters the machine, so base
 				// rises to exactly end as the windows drain.
@@ -344,26 +303,8 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 				}
 			}
 			b := blkAt(curBlk)
-			e := entAt(seq)
-			*e = entry{d: d, blk: curBlk}
-			for _, reg := range d.Inst.Reads(regBuf[:0]) {
-				if reg.IsZeroReg() {
-					continue
-				}
-				// noSeq passes the >= base filter (it is the max uint64),
-				// so an empty slot must be rejected explicitly.
-				if prod := lastProd[reg.Flat()]; prod != noSeq && prod >= base {
-					e.deps[e.ndeps] = prod
-					e.ndeps++
-				}
-			}
-			for _, reg := range d.Inst.Writes(regBuf[:0]) {
-				if !reg.IsZeroReg() {
-					lastProd[reg.Flat()] = seq
-				}
-			}
+			w.Insert(d).Group = curBlk
 			b.n++
-			count++
 			inserted++
 			if d.IsBranch || d.Halt || b.n >= cfg.BlockSize {
 				b.closed = true
@@ -384,144 +325,57 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 
 		// Select and issue: each window picks ready instructions oldest-first
 		// up to its own width; the shared functional units arbitrate across
-		// windows, favoring older blocks (the scan is global seq order, so
+		// windows, favoring older blocks (the walk is global seq order, so
 		// per-window oldest-first and cross-window old-block-first coincide).
 		var use isa.FUUse
 		var blkIssued [maxWindows]uint8
 		issued := 0
-		for i := 0; i < count && issued < cfg.Caps.MaxIssue; i++ {
-			e := entAt(base + uint64(i))
-			if e.state != stWaiting {
+		for seq, ok := w.NextWoken(w.Base()); ok && issued < cfg.Caps.MaxIssue; seq, ok = w.NextWoken(seq + 1) {
+			e := w.At(seq)
+			if e.ReadyAt > now || int(blkIssued[e.Group&blkMask]) >= cfg.WindowIssue {
 				continue
 			}
-			if int(blkIssued[e.blk&blkMask]) >= cfg.WindowIssue {
+			op := e.D.Inst.Op
+			if !use.Fits(op, &cfg.Caps) {
 				continue
 			}
-			ready := true
-			for _, dep := range e.deps[:e.ndeps] {
-				if dep < base {
-					continue
-				}
-				de := entAt(dep)
-				if de.state != stDone || de.completion > now {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			in := e.d.Inst
-			if !use.Fits(in.Op, &cfg.Caps) {
-				continue
-			}
-			use.Add(in.Op)
-			e.state = stIssued
-			blkIssued[e.blk&blkMask]++
+			use.Add(op)
+			w.Issue(seq, now, hier)
+			blkIssued[e.Group&blkMask]++
 			issued++
 			lastWork = now
 
-			e.completion = now + uint64(in.Op.Latency())
-			switch {
-			case e.d.IsLoad:
-				e.completion = hier.AccessData(e.d.MemAddr, now, false, false)
-			case e.d.IsStore:
-				hier.AccessData(e.d.MemAddr, now, true, false)
-			}
-			if e.completion <= now {
-				e.completion = now + 1
-			}
-			if e.completion <= now+1 {
-				e.state = stDone
-			}
-
-			if e.d.IsBranch {
-				if e.d.Seq == barrier {
+			if e.D.IsBranch {
+				if seq == barrier {
 					barrier = noSeq // resolved; fetch may resume
 				}
-				correct := pred.Update(e.d.Addr(), e.d.Taken)
-				if !correct {
+				if !pred.Update(e.D.Addr(), e.D.Taken) {
 					// Block-granularity squash: the branch terminated its
 					// block, so every younger in-flight instruction belongs
 					// to a younger block; discard those blocks and refetch.
-					cut := int(e.d.Seq - base + 1)
-					squashed := count - cut
-					count = cut
-					removed := blkBase + uint64(blkCount) - (e.blk + 1)
-					blkCount = int(e.blk - blkBase + 1)
+					removed := blkBase + uint64(blkCount) - (e.Group + 1)
+					blkCount = int(e.Group - blkBase + 1)
 					open = false
 					st.CGOOO.BlockSquashes++
 					st.CGOOO.SquashedBlocks += removed
-					st.CGOOO.SquashedInsts += uint64(squashed)
-					if barrier != noSeq && barrier >= base+uint64(cut) {
+					st.CGOOO.SquashedInsts += w.End() - (seq + 1)
+					w.Squash(int(seq - w.Base() + 1))
+					if barrier != noSeq && barrier > seq {
 						barrier = noSeq
 					}
-					fe.Flush(e.d.Seq+1, now+1+uint64(cfg.MispredictPenalty))
-					rebuildRename()
+					fe.Flush(seq+1, now+1+uint64(cfg.MispredictPenalty))
 					break
 				}
 			}
 		}
-		// Promote issued entries whose completion has arrived.
-		promoted := 0
-		for k := 0; k < count; k++ {
-			if e := entAt(base + uint64(k)); e.state == stIssued {
-				if e.completion <= now+1 {
-					e.state = stDone
-					promoted++
-				} else {
-					// First cycle this entry can promote; every waiting
-					// entry's time deadline bottoms out at an issued
-					// producer's completion, so noting these covers the
-					// whole dependence graph.
-					skip.Note(e.completion - 1)
-				}
-			}
-		}
+		promoted := w.Promote(now, &skip)
 
 		// Attribution (paper §5.2): a cycle with no issue is charged to the
 		// oldest unfinished instruction's stall cause, or to the front end
 		// when the machine is empty.
 		cat := sim.StallExecution
 		if issued == 0 {
-			if count == 0 {
-				cat = sim.StallFrontEnd
-			} else {
-				cause := sim.StallFrontEnd
-				for k := 0; k < count; k++ {
-					e := entAt(base + uint64(k))
-					if e.state == stDone && e.completion <= now {
-						continue
-					}
-					switch {
-					case e.state != stWaiting:
-						// Oldest unfinished is executing.
-						if e.d.IsLoad {
-							cause = sim.StallLoad
-						} else {
-							cause = sim.StallOther
-						}
-					default:
-						// Waiting on producers: find the slowest unfinished one.
-						cause = sim.StallOther
-						for _, dep := range e.deps[:e.ndeps] {
-							if dep < base {
-								continue
-							}
-							de := entAt(dep)
-							if de.state == stDone && de.completion <= now {
-								continue
-							}
-							if de.d.IsLoad {
-								cause = sim.StallLoad
-								break
-							}
-						}
-					}
-					break
-				}
-				cat = cause
-			}
+			cat = w.StallCause(now)
 		}
 		st.Cat[cat]++
 		st.Cycles++
@@ -544,7 +398,7 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 			}
 		}
 		if now-lastWork > progressWindow {
-			return nil, fmt.Errorf("cgooo: no issue for %d cycles at base %d", progressWindow, base)
+			return nil, fmt.Errorf("cgooo: no issue for %d cycles at base %d", progressWindow, w.Base())
 		}
 	}
 

@@ -19,6 +19,7 @@ import (
 	"multipass/internal/bpred"
 	"multipass/internal/isa"
 	"multipass/internal/mem"
+	"multipass/internal/pipe/window"
 	"multipass/internal/sim"
 )
 
@@ -128,29 +129,6 @@ func (m *Machine) Name() string {
 	return "ooo"
 }
 
-type entryState uint8
-
-const (
-	stWaiting entryState = iota
-	stIssued
-	stDone
-)
-
-// entry is one in-flight instruction. Entries live in a ring indexed by
-// seq&mask, and operands rename to at most four producer sequences (QP plus
-// three sources), so the whole ROB is a fixed-size value array.
-type entry struct {
-	d          *sim.DynInst
-	state      entryState
-	ndeps      uint8
-	queue      int8 // scheduling queue index (decentralized variant)
-	deps       [4]uint64
-	completion uint64
-}
-
-// noSeq marks an empty rename-table slot.
-const noSeq = ^uint64(0)
-
 // queueOf maps an opcode to its decentralized scheduling queue.
 func queueOf(op isa.Op) int {
 	switch op.FU() {
@@ -202,27 +180,15 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 	fe := sim.NewFetchUnit(stream, hier, cfg.FetchWidth)
 	fe.StartAt(start)
 
-	// The ROB is a power-of-two ring of entry values indexed by seq&mask;
-	// live entries are [base, base+count).
-	robCap := 1
-	for robCap < cfg.ROBSize {
-		robCap <<= 1
-	}
-	ring := make([]entry, robCap)
-	mask := uint64(robCap - 1)
-
+	w := window.New(cfg.ROBSize, start)
 	var (
 		wm       sim.WarmMark
 		st       sim.Stats
 		now      uint64
-		base     = start                 // seq of the ROB head
-		count    int                     // live ROB entries
-		lastProd [isa.NumFlatRegs]uint64 // flat reg -> producing seq
 		inWindow int
 		inQueue  [3]int
 		haltSeq  = ^uint64(0)
 		lastWork uint64
-		regBuf   [4]isa.Reg
 		// barrier is the sequence of an in-flight branch whose prediction
 		// is wrong: real hardware fetches the wrong path beyond it, so no
 		// younger instruction may enter the machine until it resolves.
@@ -230,31 +196,13 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 		skip    sim.SkipState
 	)
 	skipOn := !cfg.DisableSkip
-	for i := range lastProd {
-		lastProd[i] = noSeq
-	}
-	entAt := func(seq uint64) *entry { return &ring[seq&mask] }
-
-	rebuildRename := func() {
-		for i := range lastProd {
-			lastProd[i] = noSeq
-		}
-		for k := 0; k < count; k++ {
-			seq := base + uint64(k)
-			for _, reg := range entAt(seq).d.Inst.Writes(regBuf[:0]) {
-				if !reg.IsZeroReg() {
-					lastProd[reg.Flat()] = seq
-				}
-			}
-		}
-	}
 
 	for {
 		if err := sim.PollContext(ctx, now); err != nil {
 			return nil, fmt.Errorf("ooo: %w", err)
 		}
-		wm.Mark(base, measure, &st, pred, hier)
-		if base >= end {
+		wm.Mark(w.Base(), measure, &st, pred, hier)
+		if w.Base() >= end {
 			// Non-final interval done: every measured sequence has retired
 			// (the final interval instead exits through the halt below).
 			break
@@ -262,28 +210,27 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 		skip.Begin()
 		// Retire in order from the ROB head.
 		retired := 0
-		for retired < cfg.RetireWidth && count > 0 {
-			if !wm.Marked() && base >= measure {
+		for retired < cfg.RetireWidth && w.Len() > 0 {
+			if !wm.Marked() && w.Base() >= measure {
 				// No retire burst spans the measurement mark; the baseline
 				// lands exactly on the boundary next cycle.
 				break
 			}
-			e := entAt(base)
-			if e.state != stDone || e.completion > now {
-				if e.state == stDone {
-					skip.Note(e.completion)
+			e := w.At(w.Base())
+			if e.State != window.Done || e.Completion > now {
+				if e.State == window.Done {
+					skip.Note(e.Completion)
 				}
 				break
 			}
-			if e.d.Halt {
-				haltSeq = e.d.Seq
+			if e.D.Halt {
+				haltSeq = e.D.Seq
 			}
-			base++
-			count--
+			w.Retire()
 			st.Retired++
 			retired++
 		}
-		fe.Release(base)
+		fe.Release(w.Base())
 		if haltSeq != ^uint64(0) {
 			st.Cycles++ // the retire cycle of halt
 			st.Cat[sim.StallExecution]++
@@ -291,17 +238,17 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 		}
 
 		// Rename/insert up to FetchWidth instructions.
-		fe.SetLimit(base + uint64(cfg.ROBSize))
+		fe.SetLimit(w.Base() + uint64(cfg.ROBSize))
 		inserted := 0
 		robFullIdle, winFullIdle := false, false
 		for inserted < cfg.FetchWidth && barrier == ^uint64(0) {
-			seq := base + uint64(count)
+			seq := w.End()
 			if seq >= end {
 				// Interval end: nothing past it enters the machine, so base
 				// rises to exactly end as the ROB drains.
 				break
 			}
-			if count >= cfg.ROBSize {
+			if w.Len() >= cfg.ROBSize {
 				st.OOO.ROBFullCy++
 				robFullIdle = inserted == 0
 				break
@@ -343,27 +290,10 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 				skip.Note(fready)
 				break
 			}
-			e := entAt(seq)
-			*e = entry{d: d, queue: int8(queueOf(d.Inst.Op))}
-			for _, reg := range d.Inst.Reads(regBuf[:0]) {
-				if reg.IsZeroReg() {
-					continue
-				}
-				// noSeq passes the >= base filter (it is the max uint64),
-				// so an empty slot must be rejected explicitly.
-				if prod := lastProd[reg.Flat()]; prod != noSeq && prod >= base {
-					e.deps[e.ndeps] = prod
-					e.ndeps++
-				}
-			}
-			for _, reg := range d.Inst.Writes(regBuf[:0]) {
-				if !reg.IsZeroReg() {
-					lastProd[reg.Flat()] = seq
-				}
-			}
-			count++
+			e := w.Insert(d)
+			e.Group = uint64(queueOf(d.Inst.Op))
 			inWindow++
-			inQueue[e.queue]++
+			inQueue[e.Group]++
 			inserted++
 			if d.Halt {
 				break
@@ -375,159 +305,70 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 			}
 		}
 
-		// Select and issue: oldest-first among ready waiting entries.
+		// Select and issue: oldest-first among ready woken entries.
 		var use isa.FUUse
 		issued := 0
-		for i := 0; i < count && issued < cfg.Caps.MaxIssue; i++ {
-			e := entAt(base + uint64(i))
-			if e.state != stWaiting {
+		for seq, ok := w.NextWoken(w.Base()); ok && issued < cfg.Caps.MaxIssue; seq, ok = w.NextWoken(seq + 1) {
+			e := w.At(seq)
+			if e.ReadyAt > now {
 				continue
 			}
-			ready := true
-			for _, dep := range e.deps[:e.ndeps] {
-				if dep < base {
-					continue
-				}
-				de := entAt(dep)
-				if de.state != stDone || de.completion > now {
-					ready = false
-					break
-				}
-			}
-			if ready && cfg.ConservativeMemOrder && e.d.IsLoad {
-				// Conservative disambiguation: all older stores must have
-				// issued before a load may.
-				for j := 0; j < i; j++ {
-					if ej := entAt(base + uint64(j)); ej.d.IsStore && ej.state == stWaiting {
-						ready = false
-						break
-					}
-				}
-			}
-			if !ready {
+			// Conservative disambiguation: all older stores must have
+			// issued before a load may.
+			if cfg.ConservativeMemOrder && e.D.IsLoad && w.StoreWaitingBefore(seq) {
 				continue
 			}
-			in := e.d.Inst
-			if !use.Fits(in.Op, &cfg.Caps) {
+			op := e.D.Inst.Op
+			if !use.Fits(op, &cfg.Caps) {
 				continue
 			}
-			use.Add(in.Op)
-			e.state = stIssued
+			use.Add(op)
+			w.Issue(seq, now, hier)
 			inWindow--
-			inQueue[e.queue]--
+			inQueue[e.Group]--
 			issued++
 			lastWork = now
 
-			e.completion = now + uint64(in.Op.Latency())
-			switch {
-			case e.d.IsLoad:
-				e.completion = hier.AccessData(e.d.MemAddr, now, false, false)
-			case e.d.IsStore:
-				hier.AccessData(e.d.MemAddr, now, true, false)
-			}
-			if e.completion <= now {
-				e.completion = now + 1
-			}
-			if e.completion <= now+1 {
-				e.state = stDone
-			}
-
-			if e.d.IsBranch {
-				if e.d.Seq == barrier {
+			if e.D.IsBranch {
+				if seq == barrier {
 					barrier = ^uint64(0) // resolved; fetch may resume
 				}
-				correct := pred.Update(e.d.Addr(), e.d.Taken)
-				if !correct {
+				if !pred.Update(e.D.Addr(), e.D.Taken) {
 					// Squash younger in-flight instructions and refetch.
-					cut := int(e.d.Seq - base + 1)
-					squashed := count - cut
-					for j := cut; j < count; j++ {
-						if y := entAt(base + uint64(j)); y.state == stWaiting {
+					for y := seq + 1; y < w.End(); y++ {
+						if ye := w.At(y); ye.State == window.Waiting {
 							inWindow--
-							inQueue[y.queue]--
+							inQueue[ye.Group]--
 						}
 					}
-					count = cut
-					if barrier != ^uint64(0) && barrier >= base+uint64(cut) {
+					st.OOO.Flushes++
+					st.OOO.Squashed += w.End() - (seq + 1)
+					w.Squash(int(seq - w.Base() + 1))
+					if barrier != ^uint64(0) && barrier > seq {
 						barrier = ^uint64(0)
 					}
-					st.OOO.Flushes++
-					st.OOO.Squashed += uint64(squashed)
-					fe.Flush(e.d.Seq+1, now+1+uint64(cfg.MispredictPenalty))
-					rebuildRename()
+					fe.Flush(seq+1, now+1+uint64(cfg.MispredictPenalty))
 					break
 				}
 			}
 		}
-		// Promote issued entries whose completion has arrived.
-		promoted := 0
-		for k := 0; k < count; k++ {
-			if e := entAt(base + uint64(k)); e.state == stIssued {
-				if e.completion <= now+1 {
-					e.state = stDone
-					promoted++
-				} else {
-					// First cycle this entry can promote; every waiting
-					// entry's time deadline bottoms out at an issued
-					// producer's completion, so noting these covers the
-					// whole dependence graph.
-					skip.Note(e.completion - 1)
-				}
-			}
-		}
+		promoted := w.Promote(now, &skip)
 
 		// Attribution (paper §5.2): a cycle with no issue is charged to the
 		// oldest unfinished instruction's stall cause, or to the front end
 		// when the machine is empty.
 		cat := sim.StallExecution
 		if issued == 0 {
-			if count == 0 {
-				cat = sim.StallFrontEnd
-			} else {
-				cause := sim.StallFrontEnd
-				for k := 0; k < count; k++ {
-					e := entAt(base + uint64(k))
-					if e.state == stDone && e.completion <= now {
-						continue
-					}
-					switch {
-					case e.state != stWaiting:
-						// Oldest unfinished is executing.
-						if e.d.IsLoad {
-							cause = sim.StallLoad
-						} else {
-							cause = sim.StallOther
-						}
-					default:
-						// Waiting on producers: find the slowest unfinished one.
-						cause = sim.StallOther
-						for _, dep := range e.deps[:e.ndeps] {
-							if dep < base {
-								continue
-							}
-							de := entAt(dep)
-							if de.state == stDone && de.completion <= now {
-								continue
-							}
-							if de.d.IsLoad {
-								cause = sim.StallLoad
-								break
-							}
-						}
-					}
-					break
-				}
-				cat = cause
-			}
+			cat = w.StallCause(now)
 		}
 		st.Cat[cat]++
 		st.Cycles++
 		now++
 		// Idle-cycle fast-forwarding: when nothing retired, inserted, issued,
 		// or promoted, every structure holds its state and the attribution
-		// scan reads only monotone comparisons (stDone entries always have
-		// completion <= now, issued ones were noted above), so cycles up to
-		// the earliest noted deadline replay identically.
+		// scan reads only monotone comparisons (Done entries always have
+		// completion <= now, issued ones were noted by Promote), so cycles
+		// up to the earliest noted deadline replay identically.
 		if skipOn && retired == 0 && inserted == 0 && issued == 0 && promoted == 0 {
 			if d := skip.Jump(hier, now); d > 0 {
 				st.Cat[cat] += d
@@ -542,7 +383,7 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 			}
 		}
 		if now-lastWork > progressWindow {
-			return nil, fmt.Errorf("ooo: no issue for %d cycles at base %d", progressWindow, base)
+			return nil, fmt.Errorf("ooo: no issue for %d cycles at base %d", progressWindow, w.Base())
 		}
 	}
 
