@@ -99,12 +99,10 @@ type sbOp struct {
 	src1  uint16
 	src2  uint16
 	imm   int32
-	idx   int32  // instruction index of this op (the compare for fused pairs)
-	fetch uint32 // isa.InstAddr(idx)
+	idx   int32 // instruction index of this op (the compare for fused pairs)
 	// Branch fields (uBr, uCmpBr).
-	target  int32  // architectural target instruction index
-	tOp     int32  // resolved op index of target; -1 if out of program
-	brFetch uint32 // fused pairs: fetch address of the swallowed branch
+	target int32 // architectural target instruction index
+	tOp    int32 // resolved op index of target; -1 if out of program
 }
 
 // SBProgram is a program pre-decoded into superblock micro-ops. It is
@@ -132,18 +130,43 @@ const (
 	EvStore
 	EvBranch
 	EvTaken
+	EvSquash // qualifying predicate false: retired with no effect
 )
 
-// ExecEvent is one retired instruction's footprint for microarchitectural
-// warming: the fetch address, the effective address for non-squashed memory
-// operations, and classification flags. Squashed instructions emit an event
-// with no flags (they still occupy a fetch slot). The checkpoint builder in
-// internal/sim replays these against its cache hierarchy and predictor,
-// which keeps package arch free of mem/bpred imports.
+// ExecEvent is one retired instruction's footprint: its instruction index
+// (the fetch address is isa.InstAddr(Idx)), the effective address for
+// non-squashed memory operations, and classification flags. Together with
+// the instruction itself an event determines everything State.Step's
+// StepInfo reports about control flow and memory: a squashed instruction
+// carries only EvSquash (a branch is never squashed, it is architecturally
+// not taken), a halt is a non-squashed halt instruction, and the next index
+// is the branch target when EvTaken is set and Idx+1 otherwise. The
+// checkpoint builder in internal/sim replays these against its cache
+// hierarchy and predictor, and trace decode expands them into dynamic
+// instructions, which keeps package arch free of mem/bpred/sim imports.
 type ExecEvent struct {
-	Fetch   uint32
 	MemAddr uint32
+	Idx     int32
 	Flags   uint8
+}
+
+// stepEvent is the event State.Step's report of one instruction maps to.
+func stepEvent(info *StepInfo) ExecEvent {
+	e := ExecEvent{Idx: int32(info.Index)}
+	switch {
+	case info.Squashed:
+		e.Flags = EvSquash
+	case info.IsLoad:
+		e.Flags, e.MemAddr = EvLoad, info.MemAddr
+	case info.IsStore:
+		e.Flags, e.MemAddr = EvStore, info.MemAddr
+	case info.IsBranch:
+		e.Flags = EvBranch
+		if info.Taken {
+			e.Flags |= EvTaken
+		}
+	}
+	return e
 }
 
 // NewSBProgram pre-decodes p. Construction is a two-pass linear scan:
@@ -176,13 +199,12 @@ func NewSBProgram(p *isa.Program) *SBProgram {
 		in := &p.Insts[i]
 		sb.opAt[i] = int32(len(sb.ops))
 		o := sbOp{
-			qp:    mapSrc(in.QP),
-			src1:  mapSrc(in.Src1),
-			src2:  mapSrc(in.Src2),
-			imm:   in.Imm,
-			idx:   int32(i),
-			fetch: isa.InstAddr(i),
-			tOp:   -1,
+			qp:   mapSrc(in.QP),
+			src1: mapSrc(in.Src1),
+			src2: mapSrc(in.Src2),
+			imm:  in.Imm,
+			idx:  int32(i),
+			tOp:  -1,
 		}
 		o.dst, o.dst2, o.dst2n = mapDsts(in)
 
@@ -213,7 +235,6 @@ func NewSBProgram(p *isa.Program) *SBProgram {
 						o.flags |= fBrOnDst2
 					}
 					o.target = br.Target
-					o.brFetch = isa.InstAddr(i + 1)
 					sb.ops = append(sb.ops, o)
 					i++
 					sb.opAt[i] = -1 // interior of a fused pair
@@ -466,19 +487,7 @@ func (sb *SBProgram) exec(st *State, stopAt uint64, evs []ExecEvent) (ExecCounts
 			}
 		}
 		if rec {
-			e := ExecEvent{Fetch: isa.InstAddr(info.Index)}
-			switch {
-			case info.IsLoad:
-				e.Flags, e.MemAddr = EvLoad, info.MemAddr
-			case info.IsStore:
-				e.Flags, e.MemAddr = EvStore, info.MemAddr
-			case info.IsBranch:
-				e.Flags = EvBranch
-				if info.Taken {
-					e.Flags |= EvTaken
-				}
-			}
-			evs[nev] = e
+			evs[nev] = stepEvent(&info)
 			nev++
 		}
 		return !st.Halted, nil
@@ -527,7 +536,7 @@ func (sb *SBProgram) exec(st *State, stopAt uint64, evs []ExecEvent) (ExecCounts
 			if vals[o.qp] == 0 {
 				retired++
 				if rec {
-					evs[nev] = ExecEvent{Fetch: o.fetch}
+					evs[nev] = ExecEvent{Idx: o.idx, Flags: EvSquash}
 					nev++
 				}
 				oi++
@@ -548,7 +557,7 @@ func (sb *SBProgram) exec(st *State, stopAt uint64, evs []ExecEvent) (ExecCounts
 				if taken {
 					f |= EvTaken
 				}
-				evs[nev] = ExecEvent{Fetch: o.fetch, Flags: f}
+				evs[nev] = ExecEvent{Idx: o.idx, Flags: f}
 				nev++
 			}
 			if taken {
@@ -599,12 +608,12 @@ func (sb *SBProgram) exec(st *State, stopAt uint64, evs []ExecEvent) (ExecCounts
 				cond = !t
 			}
 			if rec {
-				evs[nev] = ExecEvent{Fetch: o.fetch}
+				evs[nev] = ExecEvent{Idx: o.idx}
 				f := EvBranch
 				if cond {
 					f |= EvTaken
 				}
-				evs[nev+1] = ExecEvent{Fetch: o.brFetch, Flags: f}
+				evs[nev+1] = ExecEvent{Idx: o.idx + 1, Flags: f}
 				nev += 2
 			}
 			if cond {
@@ -628,7 +637,7 @@ func (sb *SBProgram) exec(st *State, stopAt uint64, evs []ExecEvent) (ExecCounts
 		case uHalt:
 			retired++
 			if rec {
-				evs[nev] = ExecEvent{Fetch: o.fetch}
+				evs[nev] = ExecEvent{Idx: o.idx}
 				nev++
 			}
 			st.Halted = true
@@ -814,7 +823,7 @@ func (sb *SBProgram) exec(st *State, stopAt uint64, evs []ExecEvent) (ExecCounts
 
 		retired++
 		if rec {
-			evs[nev] = ExecEvent{Fetch: o.fetch, MemAddr: evAddr, Flags: evFlags}
+			evs[nev] = ExecEvent{MemAddr: evAddr, Idx: o.idx, Flags: evFlags}
 			nev++
 		}
 		oi++

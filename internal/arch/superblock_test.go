@@ -269,9 +269,37 @@ func TestSuperblockErrorParity(t *testing.T) {
 	compareRuns(t, ref, got)
 }
 
+// wantEvent is the event a StepInfo implies, derived independently of the
+// interpreter's own stepOne mapping.
+func wantEvent(info StepInfo) ExecEvent {
+	e := ExecEvent{Idx: int32(info.Index)}
+	if info.Squashed {
+		e.Flags |= EvSquash
+	}
+	if info.IsLoad {
+		e.Flags |= EvLoad
+		e.MemAddr = info.MemAddr
+	}
+	if info.IsStore {
+		e.Flags |= EvStore
+		e.MemAddr = info.MemAddr
+	}
+	if info.IsBranch {
+		e.Flags |= EvBranch
+	}
+	if info.Taken {
+		e.Flags |= EvTaken
+	}
+	return e
+}
+
 // TestSuperblockExecTraceEvents replays the event stream against the
-// step-wise StepInfo sequence: same fetch addresses, same classification,
-// same effective addresses, in the same retire order.
+// step-wise StepInfo sequence: same instruction indices, same
+// classification and squash flags, same effective addresses, in the same
+// retire order. Chunks end both where the event buffer runs out (never
+// inside a fused pair) and at stop points every stride instructions, which
+// split fused pairs and make the next call resume on the swallowed branch
+// through the reference step.
 func TestSuperblockExecTraceEvents(t *testing.T) {
 	p := mustAssemble(t, loopSrc)
 	image := NewMemory()
@@ -280,53 +308,49 @@ func TestSuperblockExecTraceEvents(t *testing.T) {
 	var want []ExecEvent
 	st := NewState(image.Clone())
 	for !st.Halted {
-		idx := st.PC
 		info, err := st.Step(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := ExecEvent{Fetch: isa.InstAddr(idx)}
-		switch {
-		case info.IsLoad:
-			e.Flags, e.MemAddr = EvLoad, info.MemAddr
-		case info.IsStore:
-			e.Flags, e.MemAddr = EvStore, info.MemAddr
-		case info.IsBranch:
-			e.Flags = EvBranch
-			if info.Taken {
-				e.Flags |= EvTaken
-			}
+		want = append(want, wantEvent(info))
+	}
+	var squashed int
+	for _, e := range want {
+		if e.Flags&EvSquash != 0 {
+			squashed++
 		}
-		want = append(want, e)
+	}
+	if squashed == 0 {
+		t.Fatal("loopSrc retires no squashed instruction; the squash flag is untested")
 	}
 
 	sb := NewSBProgram(p)
-	// A deliberately awkward buffer size forces chunk boundaries at varying
-	// positions relative to fused pairs.
 	for _, bufSize := range []int{2, 3, 7, 64, len(want) + 8} {
-		var got []ExecEvent
-		gst := NewState(image.Clone())
-		buf := make([]ExecEvent, bufSize)
-		for !gst.Halted {
-			_, n, err := sb.ExecTrace(gst, 1<<62, buf)
-			if err != nil {
-				t.Fatal(err)
+		for _, stride := range []uint64{1, 2, 3, 5, 1 << 62} {
+			var got []ExecEvent
+			gst := NewState(image.Clone())
+			buf := make([]ExecEvent, bufSize)
+			for !gst.Halted {
+				_, n, err := sb.ExecTrace(gst, gst.Retired+stride, buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n == 0 && !gst.Halted {
+					t.Fatalf("bufSize %d stride %d: no progress", bufSize, stride)
+				}
+				got = append(got, buf[:n]...)
 			}
-			if n == 0 && !gst.Halted {
-				t.Fatalf("bufSize %d: no progress", bufSize)
+			if len(got) != len(want) {
+				t.Fatalf("bufSize %d stride %d: %d events, want %d", bufSize, stride, len(got), len(want))
 			}
-			got = append(got, buf[:n]...)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("bufSize %d: %d events, want %d", bufSize, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("bufSize %d: event %d = %+v, want %+v", bufSize, i, got[i], want[i])
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("bufSize %d stride %d: event %d = %+v, want %+v", bufSize, stride, i, got[i], want[i])
+				}
 			}
-		}
-		if gst.Retired != uint64(len(want)) {
-			t.Fatalf("bufSize %d: retired %d", bufSize, gst.Retired)
+			if gst.Retired != uint64(len(want)) {
+				t.Fatalf("bufSize %d stride %d: retired %d", bufSize, stride, gst.Retired)
+			}
 		}
 	}
 }

@@ -73,15 +73,11 @@ func Run(ctx context.Context, name ModelName, w workload.Workload, scale int, hi
 	return runProgram(ctx, name, p, image, decodeTrace(p, image), sim.ModelOptions{Hier: hier})
 }
 
-// traceLimit caps pre-decoded traces; a workload longer than this falls back
-// to the lazy per-run interpreter rather than holding a huge flat trace.
-const traceLimit = 1 << 22
-
 // decodeTrace pre-decodes a program once for read-only sharing across models.
 // Any failure (too long, interpreter fault) degrades to the lazy path, where
 // the run will produce the real error if there is one.
 func decodeTrace(p *isa.Program, image *arch.Memory) *sim.Trace {
-	tr, err := sim.BuildTrace(p, image, traceLimit)
+	tr, err := sim.BuildTrace(p, image, sim.TraceLimit)
 	if err != nil {
 		return nil
 	}

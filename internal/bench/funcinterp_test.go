@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"multipass/internal/arch"
+	"multipass/internal/sim"
 	"multipass/internal/workload"
 )
 
@@ -53,10 +54,10 @@ func TestFuncInterpSpeedupSuite(t *testing.T) {
 		var swDur, sbDur time.Duration
 		for rep := 0; rep < pairs; rep++ {
 			ref, swDur = timed(func(img *arch.Memory) (*arch.RunResult, error) {
-				return arch.RunStepwise(pr.P, img, traceLimit)
+				return arch.RunStepwise(pr.P, img, sim.TraceLimit)
 			})
 			got, sbDur = timed(func(img *arch.Memory) (*arch.RunResult, error) {
-				return sb.Run(img, traceLimit)
+				return sb.Run(img, sim.TraceLimit)
 			})
 			ratios = append(ratios, float64(swDur)/float64(sbDur))
 		}

@@ -141,19 +141,19 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("inorder does not implement sim.IntervalRunner")
 	}
-	set, err := sim.BuildCheckpoints(ctx, pr.P, pr.Image, sim.SampleConfig{Interval: 10000, Warmup: 2500}, ir.CheckpointSpec())
+	cks, n, err := drainCheckpoints(ctx, pr, sim.SampleConfig{Interval: 10000, Warmup: 2500}, ir.CheckpointSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(set.Checkpoints) < 2 {
-		t.Fatalf("mcf split into %d intervals, want >= 2", len(set.Checkpoints))
+	if len(cks) < 2 {
+		t.Fatalf("mcf split into %d intervals, want >= 2", len(cks))
 	}
 
 	mono, err := pr.Run(ctx, MInorder, mem.BaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := set.Checkpoints[len(set.Checkpoints)-1]
+	last := cks[len(cks)-1]
 	res, err := ir.RunInterval(ctx, pr.P, pr.Image, last)
 	if err != nil {
 		t.Fatal(err)
@@ -167,23 +167,43 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("resimulated final interval diverged from monolithic:\n  %s",
 			strings.Join(got.Diff(want, 8), "\n  "))
 	}
-	if res.Stats.Retired != set.N-last.Measure {
+	if res.Stats.Retired != n-last.Measure {
 		t.Fatalf("final interval retired %d, want %d (N %d - measure %d)",
-			res.Stats.Retired, set.N-last.Measure, set.N, last.Measure)
+			res.Stats.Retired, n-last.Measure, n, last.Measure)
 	}
 
 	// Interval accounting: measured windows tile [0, N) exactly.
 	var total uint64
-	for i, ck := range set.Checkpoints {
+	for i, ck := range cks {
 		start, measure, end := ck.Bounds()
 		if start > measure || measure >= end {
 			t.Fatalf("checkpoint %d has degenerate bounds (%d, %d, %d)", i, start, measure, end)
 		}
 		total += end - measure
 	}
-	if total != set.N {
-		t.Fatalf("measured windows cover %d instructions, stream has %d", total, set.N)
+	if total != n {
+		t.Fatalf("measured windows cover %d instructions, stream has %d", total, n)
 	}
+}
+
+// drainCheckpoints runs the functional fast-forward to completion and
+// collects its checkpoints in stream order, each End clamped to the stream
+// length n.
+func drainCheckpoints(ctx context.Context, pr *Prepared, cfg sim.SampleConfig, spec sim.CheckpointSpec) (cks []*sim.Checkpoint, n uint64, err error) {
+	src, err := sim.StreamCheckpoints(ctx, pr.P, pr.Image, cfg, spec)
+	if err != nil {
+		return nil, 0, err
+	}
+	for ck := range src.C {
+		cks = append(cks, ck)
+	}
+	if n, _, _, err = src.Wait(); err != nil {
+		return nil, 0, err
+	}
+	for _, ck := range cks {
+		ck.End = min(ck.End, n)
+	}
+	return cks, n, nil
 }
 
 // TestRunSampledValidation pins the error paths: a zero interval is a
@@ -198,8 +218,8 @@ func TestRunSampledValidation(t *testing.T) {
 
 // TestBuildCheckpointsCancel pins the fast-forward's cancellation contract:
 // a cancelled context must surface promptly as the pass's error, both from
-// the chunk-boundary poll and from a producer blocked sending to a consumer
-// that stopped draining.
+// the chunk-boundary poll (seen by a consumer draining every checkpoint) and
+// from a producer blocked sending to a consumer that stopped draining.
 func TestBuildCheckpointsCancel(t *testing.T) {
 	pr := mustPrepare(t, "mcf", 1)
 	m, err := NewMachineOpts(MInorder, sim.ModelOptions{Hier: mem.BaseConfig()})
@@ -213,7 +233,7 @@ func TestBuildCheckpointsCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		start := time.Now()
-		_, err := sim.BuildCheckpoints(ctx, pr.P, pr.Image, cfg, spec)
+		_, _, err := drainCheckpoints(ctx, pr, cfg, spec)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}

@@ -51,12 +51,8 @@ func (a *asc) set(addr uint32) []ascEntry {
 
 // clear empties the ASC and its replacement flags (start of a pass).
 func (a *asc) clear() {
-	for i := range a.entries {
-		a.entries[i] = ascEntry{}
-	}
-	for i := range a.replaced {
-		a.replaced[i] = false
-	}
+	clear(a.entries)
+	clear(a.replaced)
 }
 
 // overlaps reports whether [addrA, addrA+sizeA) intersects [addrB, addrB+sizeB).

@@ -249,10 +249,8 @@ func (r *run) exitAdvance() {
 // clearPassState clears the per-pass speculative state: A-bits/I-bits (the
 // SRF), the ASC, and the deferred-store poison flag.
 func (r *run) clearPassState() {
-	for i := range r.aBit {
-		r.aBit[i] = false
-		r.iBit[i] = false
-	}
+	clear(r.aBit[:])
+	clear(r.iBit[:])
 	r.asc.clear()
 	r.storeDeferred = false
 	r.passBlocked = false

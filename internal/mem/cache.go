@@ -96,12 +96,13 @@ type line struct {
 	use   uint64 // LRU timestamp
 }
 
-// cache is one set-associative level.
+// cache is one set-associative level. Its lines are one flat array, set
+// after set: set s occupies lines[s*assoc : (s+1)*assoc].
 type cache struct {
 	cfg       LevelConfig
 	lineShift uint
 	setMask   uint32
-	sets      [][]line
+	lines     []line
 	useClock  uint64
 	stats     CacheStats
 }
@@ -110,21 +111,19 @@ func newCache(cfg LevelConfig) (*cache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &cache{cfg: cfg}
+	c := &cache{cfg: cfg, lines: make([]line, cfg.Lines())}
 	for 1<<c.lineShift < cfg.LineBytes {
 		c.lineShift++
 	}
 	c.setMask = uint32(cfg.Sets() - 1)
-	c.sets = make([][]line, cfg.Sets())
-	rows := make([]line, cfg.Sets()*cfg.Assoc)
-	for i := range c.sets {
-		c.sets[i] = rows[i*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
 	return c, nil
 }
 
+// set returns the ways of addr's set.
 func (c *cache) set(addr uint32) []line {
-	return c.sets[(addr>>c.lineShift)&c.setMask]
+	ways := c.cfg.Assoc
+	i := int((addr>>c.lineShift)&c.setMask) * ways
+	return c.lines[i : i+ways : i+ways]
 }
 
 func (c *cache) tag(addr uint32) uint32 {
@@ -144,8 +143,9 @@ func (c *cache) lookupW(addr uint32, write, advance bool) bool {
 		c.stats.AdvanceAccesses++
 	}
 	tag := c.tag(addr)
-	for i := range c.set(addr) {
-		l := &c.set(addr)[i]
+	set := c.set(addr)
+	for i := range set {
+		l := &set[i]
 		if l.valid && l.tag == tag {
 			l.use = c.useClock
 			if write {
@@ -193,11 +193,7 @@ func (c *cache) install(addr uint32, write bool) {
 
 // reset invalidates all lines and clears statistics.
 func (c *cache) reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
+	clear(c.lines)
 	c.useClock = 0
 	c.stats = CacheStats{}
 }

@@ -279,8 +279,7 @@ func (h *Hierarchy) AccessData(addr uint32, now uint64, write, advance bool) uin
 func (h *Hierarchy) Probe(addr uint32) int {
 	present := func(c *cache) bool {
 		tag := c.tag(addr)
-		for i := range c.set(addr) {
-			l := &c.set(addr)[i]
+		for _, l := range c.set(addr) {
 			if l.valid && l.tag == tag {
 				return true
 			}

@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Warm-state capture for checkpointed sampling. A functional fast-forward
 // replays the retired load/store/fetch sequence through WarmData/WarmInst to
@@ -62,17 +65,11 @@ type warmLevel struct {
 }
 
 func captureLevel(c *cache) warmLevel {
-	w := warmLevel{lines: make([]line, 0, len(c.sets)*c.cfg.Assoc), useClock: c.useClock}
-	for _, set := range c.sets {
-		w.lines = append(w.lines, set...)
-	}
-	return w
+	return warmLevel{lines: slices.Clone(c.lines), useClock: c.useClock}
 }
 
 func restoreLevel(c *cache, w warmLevel) {
-	for i, set := range c.sets {
-		copy(set, w.lines[i*c.cfg.Assoc:(i+1)*c.cfg.Assoc])
-	}
+	copy(c.lines, w.lines)
 	c.useClock = w.useClock
 }
 

@@ -99,7 +99,8 @@ type runState struct {
 	// is append-only within an episode and resliced to zero on entry, and
 	// the bucket heads chain entries newest-first, so a lookup that stops at
 	// the first key match sees exactly the map-overwrite semantics the
-	// episode needs — without a per-episode map allocation.
+	// episode needs — without a per-episode map allocation. Links are one
+	// past an entry's index, so zero marks an empty bucket or a chain end.
 	raStoreBuf []raStoreEnt
 	raStoreIdx [raStoreBuckets]int32
 
@@ -134,7 +135,7 @@ type raStoreEnt struct {
 	key     uint64
 	val     isa.Word
 	invalid bool
-	prev    int32 // next-older entry in this bucket, -1 at chain end
+	prev    int32 // one past the next-older entry in this bucket, 0 at chain end
 }
 
 func storeKey(addr uint32, size int) uint64 {
@@ -149,14 +150,14 @@ func storeBucket(key uint64) int {
 func (r *runState) putStore(key uint64, val isa.Word, invalid bool) {
 	b := storeBucket(key)
 	r.raStoreBuf = append(r.raStoreBuf, raStoreEnt{key: key, val: val, invalid: invalid, prev: r.raStoreIdx[b]})
-	r.raStoreIdx[b] = int32(len(r.raStoreBuf) - 1)
+	r.raStoreIdx[b] = int32(len(r.raStoreBuf))
 }
 
 // getStore returns the newest runahead store with the key, if any.
 func (r *runState) getStore(key uint64) (raStoreEnt, bool) {
-	for i := r.raStoreIdx[storeBucket(key)]; i >= 0; i = r.raStoreBuf[i].prev {
-		if r.raStoreBuf[i].key == key {
-			return r.raStoreBuf[i], true
+	for i := r.raStoreIdx[storeBucket(key)]; i > 0; i = r.raStoreBuf[i-1].prev {
+		if e := r.raStoreBuf[i-1]; e.key == key {
+			return e, true
 		}
 	}
 	return raStoreEnt{}, false
@@ -258,14 +259,10 @@ func (r *runState) enterEpisode(until uint64) {
 	r.stallUntil = until
 	r.peek = r.next
 	r.blocked = false
-	for i := range r.raBit {
-		r.raBit[i] = false
-		r.raInvalid[i] = false
-	}
+	clear(r.raBit[:])
+	clear(r.raInvalid[:])
 	r.raStoreBuf = r.raStoreBuf[:0]
-	for i := range r.raStoreIdx {
-		r.raStoreIdx[i] = -1
-	}
+	clear(r.raStoreIdx[:])
 	r.st.Runahead.Episodes++
 }
 

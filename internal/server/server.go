@@ -183,9 +183,6 @@ type builtProgram struct {
 // traces within a sweep).
 const progCacheCap = 64
 
-// traceLimit caps pre-decoded traces; longer workloads use the lazy path.
-const traceLimit = 1 << 22
-
 // program returns the memoized compilation for the spec's binary-identity
 // fields, compiling and tracing on first use. The build itself runs
 // detached: a waiter whose ctx expires returns ctx.Err() immediately while
@@ -287,7 +284,7 @@ func (s *Server) buildProgram(ctx context.Context, b *builtProgram, key string, 
 	// A failed trace is not an error: the run interprets lazily and
 	// reports the real fault, if any.
 	traceStart := time.Now()
-	if tr, err := sim.BuildTrace(b.p, b.image, traceLimit); err == nil {
+	if tr, err := sim.BuildTrace(b.p, b.image, sim.TraceLimit); err == nil {
 		b.tr = tr
 	}
 	b.traceDur = time.Since(traceStart)

@@ -80,7 +80,7 @@ type Checkpoint struct {
 	// known yet when the checkpoint is handed out — and the final interval
 	// simply reaches the halt first. Consumers that need the exact measured
 	// span clamp End by the stream length N once the functional pass
-	// finishes (BuildCheckpoints does this for its collected set).
+	// finishes (CheckpointSource.Wait reports N).
 	End uint64
 
 	PC     int
@@ -103,20 +103,6 @@ func (c *Checkpoint) Bounds() (start, measure, end uint64) {
 		return 0, 0, ^uint64(0)
 	}
 	return c.Seq, c.Measure, c.End
-}
-
-// CheckpointSet is the output of one fast-forward pass: one checkpoint per
-// selected interval, in stream order, plus the total dynamic instruction
-// count and the exact final architectural state.
-type CheckpointSet struct {
-	Checkpoints []*Checkpoint
-	// N is the dynamic stream length (retired instructions including halt).
-	N uint64
-	// Final is the architectural state after the whole stream has executed
-	// functionally — identical to any timing model's final state (the xcheck
-	// invariant). Sparse stitching uses it when the last interval is not
-	// among the simulated ones.
-	Final *Snapshot
 }
 
 // maxIntervals bounds how many checkpoints one run may materialize; each
@@ -234,7 +220,7 @@ func runFastForward(ctx context.Context, p *isa.Program, image *arch.Memory, cfg
 	// measured region. The pass retires monotonically, so pending drains in
 	// order: a checkpoint is sent as soon as retirement passes its Measure
 	// boundary, and whatever is still pending at halt (Measure >= N) is
-	// dropped, matching the non-streaming trailing-checkpoint rule.
+	// dropped: its measured region is empty.
 	var pending []*Checkpoint
 	flush := func() error {
 		for len(pending) > 0 && st.Retired > pending[0].Measure {
@@ -243,6 +229,7 @@ func runFastForward(ctx context.Context, p *isa.Program, image *arch.Memory, cfg
 			case <-ctx.Done():
 				return ctx.Err()
 			}
+			pending[0] = nil // the consumer owns it now
 			pending = pending[1:]
 			sent++
 		}
@@ -291,13 +278,14 @@ func runFastForward(ctx context.Context, p *isa.Program, image *arch.Memory, cfg
 		// predictor (a squashed branch is architecturally not taken).
 		for i := 0; i < nev; i++ {
 			e := &evs[i]
-			if line := e.Fetch & lineMask; !haveLine || line != lineAddr {
+			fetch := isa.InstAddr(int(e.Idx))
+			if line := fetch & lineMask; !haveLine || line != lineAddr {
 				hier.WarmInst(line)
 				lineAddr, haveLine = line, true
 			}
 			if e.Flags&arch.EvBranch != 0 {
 				taken := e.Flags&arch.EvTaken != 0
-				pred.Update(e.Fetch, taken)
+				pred.Update(fetch, taken)
 				if taken {
 					haveLine = false
 				}
@@ -324,29 +312,4 @@ func runFastForward(ctx context.Context, p *isa.Program, image *arch.Memory, cfg
 		return fmt.Errorf("sim: empty dynamic stream")
 	}
 	return nil
-}
-
-// BuildCheckpoints runs the functional fast-forward to completion and
-// collects the streamed checkpoints into a CheckpointSet, with each
-// checkpoint's End clamped to the now-known stream length. It is the
-// non-streaming convenience form of StreamCheckpoints.
-func BuildCheckpoints(ctx context.Context, p *isa.Program, image *arch.Memory, cfg SampleConfig, spec CheckpointSpec) (*CheckpointSet, error) {
-	src, err := StreamCheckpoints(ctx, p, image, cfg, spec)
-	if err != nil {
-		return nil, err
-	}
-	var cks []*Checkpoint
-	for ck := range src.C {
-		cks = append(cks, ck)
-	}
-	n, final, _, err := src.Wait()
-	if err != nil {
-		return nil, err
-	}
-	for _, ck := range cks {
-		if ck.End > n {
-			ck.End = n
-		}
-	}
-	return &CheckpointSet{Checkpoints: cks, N: n, Final: final}, nil
 }

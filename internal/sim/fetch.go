@@ -12,7 +12,8 @@ import (
 // cycle.
 //
 // The unit tracks availability with a sliding window aligned to the
-// pipeline's consumption, mirroring Stream.
+// pipeline's consumption, mirroring Stream: a power-of-two ring holding
+// sequences [base, nextSeq), so releasing is O(1).
 type FetchUnit struct {
 	stream *Stream
 	hier   *mem.Hierarchy
@@ -24,8 +25,8 @@ type FetchUnit struct {
 	haveLine bool
 	lineMask uint32
 
-	base  uint64 // seq of ready[0]
-	ready []uint64
+	base  uint64   // oldest sequence still held
+	ready []uint64 // ring: seq's ready cycle at ready[seq&(len-1)]
 
 	limit uint64 // fetch-ahead bound set by the consumer (buffer capacity)
 }
@@ -44,7 +45,7 @@ func NewFetchUnit(s *Stream, h *mem.Hierarchy, width int) *FetchUnit {
 // StartAt positions the front end at sequence seq for an interval run whose
 // stream starts mid-trace. It must be called before any fetch activity.
 func (f *FetchUnit) StartAt(seq uint64) {
-	if f.base != 0 || f.nextSeq != 0 || len(f.ready) != 0 {
+	if f.base != 0 || f.nextSeq != 0 {
 		panic("sim: StartAt after fetch began")
 	}
 	f.base, f.nextSeq = seq, seq
@@ -66,7 +67,7 @@ func (f *FetchUnit) ReadyAt(seq uint64) (uint64, bool, error) {
 	if seq >= f.limit {
 		panic("sim: fetch query beyond buffer limit")
 	}
-	for seq >= f.base+uint64(len(f.ready)) {
+	for seq >= f.nextSeq {
 		ok, err := f.fetchGroup()
 		if err != nil {
 			return 0, false, err
@@ -75,7 +76,7 @@ func (f *FetchUnit) ReadyAt(seq uint64) (uint64, bool, error) {
 			return 0, false, nil
 		}
 	}
-	return f.ready[seq-f.base], true, nil
+	return f.ready[seq&uint64(len(f.ready)-1)], true, nil
 }
 
 // fetchGroup fetches up to width instructions in one front-end cycle.
@@ -102,7 +103,10 @@ func (f *FetchUnit) fetchGroup() (bool, error) {
 			f.lineAddr = line
 			f.haveLine = true
 		}
-		f.ready = append(f.ready, groupCycle+1)
+		if f.nextSeq-f.base == uint64(len(f.ready)) {
+			f.grow()
+		}
+		f.ready[f.nextSeq&uint64(len(f.ready)-1)] = groupCycle + 1
 		f.nextSeq++
 		fetched++
 		if d.Halt {
@@ -127,7 +131,6 @@ func (f *FetchUnit) Flush(restartSeq, resumeCycle uint64) {
 		panic("sim: flush below released window")
 	}
 	if restartSeq < f.nextSeq {
-		f.ready = f.ready[:restartSeq-f.base]
 		f.nextSeq = restartSeq
 	}
 	if resumeCycle > f.cycle {
@@ -139,15 +142,15 @@ func (f *FetchUnit) Flush(restartSeq, resumeCycle uint64) {
 // Release discards availability records below seq and lets the stream free
 // its window.
 func (f *FetchUnit) Release(seq uint64) {
-	if seq <= f.base {
-		return
-	}
-	drop := seq - f.base
-	if drop > uint64(len(f.ready)) {
-		drop = uint64(len(f.ready))
-	}
-	f.base += drop
-	n := copy(f.ready, f.ready[drop:])
-	f.ready = f.ready[:n]
+	f.base = max(f.base, min(seq, f.nextSeq))
 	f.stream.Release(seq)
+}
+
+// grow doubles the ready ring, keeping each held sequence's slot.
+func (f *FetchUnit) grow() {
+	ready := make([]uint64, max(2*len(f.ready), 64))
+	for seq := f.base; seq < f.nextSeq; seq++ {
+		ready[seq&uint64(len(ready)-1)] = f.ready[seq&uint64(len(f.ready)-1)]
+	}
+	f.ready = ready
 }

@@ -103,24 +103,36 @@ func RunSampled(ctx context.Context, m Machine, p *isa.Program, image *arch.Memo
 	// The functional pass streams checkpoints as it discovers them, so
 	// interval workers start detailed simulation while the fast-forward is
 	// still running; its wall clock overlaps the simulation instead of
-	// preceding it. The slices are pre-sized at the stream's hard interval
-	// cap so worker goroutines can write their slot without synchronization
-	// (cks never reallocates: its capacity is fixed and only this loop
-	// appends).
+	// preceding it. Each worker owns its checkpoint and writes only its own
+	// interval record, and the run keeps of a finished interval only what
+	// stitching reads: its stats, its measured bounds, and — at full
+	// coverage, where the last interval's state is the run's final state —
+	// the state of the latest interval finished so far. Checkpoint and
+	// interval memories are released as each interval completes.
 	src, err := StreamCheckpoints(runCtx, p, image, cfg, ir.CheckpointSpec())
 	if err != nil {
 		return nil, err
 	}
-	cks := make([]*Checkpoint, 0, maxIntervals)
-	results := make([]*Result, maxIntervals)
-	errs := make([]error, maxIntervals)
+	full := cfg.period() == 1
+	type interval struct {
+		measure, end uint64
+		stats        Stats
+		err          error
+	}
+	var ivs []*interval
+	var (
+		lastMu  sync.Mutex
+		lastIdx = -1
+		last    *Result
+	)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
 	for ck := range src.C {
-		i := len(cks)
-		cks = append(cks, ck)
+		i := len(ivs)
+		iv := &interval{measure: ck.Measure, end: ck.End}
+		ivs = append(ivs, iv)
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, ck *Checkpoint) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
@@ -129,22 +141,29 @@ func RunSampled(ctx context.Context, m Machine, p *isa.Program, image *arch.Memo
 			// recovery, so convert the panic to an error here.
 			defer func() {
 				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("sim: interval %d panicked: %v", i, r)
+					iv.err = fmt.Errorf("sim: interval %d panicked: %v", i, r)
 					cancel()
 				}
 			}()
 			if err := runCtx.Err(); err != nil {
-				errs[i] = err
+				iv.err = err
 				return
 			}
-			res, err := ir.RunInterval(runCtx, p, image, cks[i])
+			res, err := ir.RunInterval(runCtx, p, image, ck)
 			if err != nil {
-				errs[i] = err
+				iv.err = err
 				cancel()
 				return
 			}
-			results[i] = res
-		}(i)
+			iv.stats = res.Stats
+			if full {
+				lastMu.Lock()
+				if i > lastIdx {
+					lastIdx, last = i, res
+				}
+				lastMu.Unlock()
+			}
+		}(i, ck)
 	}
 	n, finalSnap, ffDur, ferr := src.Wait()
 	if ferr != nil {
@@ -153,11 +172,14 @@ func RunSampled(ctx context.Context, m Machine, p *isa.Program, image *arch.Memo
 		cancel()
 	}
 	wg.Wait()
-	results, errs = results[:len(cks)], errs[:len(cks)]
 	// Prefer a real failure over the cancellations it caused; the producer's
 	// error is the root cause when both it and workers failed.
+	errs := []error{ferr}
+	for _, iv := range ivs {
+		errs = append(errs, iv.err)
+	}
 	var firstErr error
-	for _, err := range append([]error{ferr}, errs...) {
+	for _, err := range errs {
 		if err == nil {
 			continue
 		}
@@ -174,14 +196,13 @@ func RunSampled(ctx context.Context, m Machine, p *isa.Program, image *arch.Memo
 
 	stitchStart := time.Now()
 	final := &Result{}
-	for _, r := range results {
-		final.Stats.Add(&r.Stats)
+	for _, iv := range ivs {
+		final.Stats.Add(&iv.stats)
 	}
-	if cfg.period() == 1 {
+	if full {
 		// Full coverage: the measured windows tile the stream, so the sum is
 		// exact and the last interval retired the same halt as a monolithic
 		// run would.
-		last := results[len(results)-1]
 		final.RF, final.Mem = last.RF, last.Mem
 		if final.Stats.Retired != n {
 			return nil, fmt.Errorf("sim: stitched retired %d != stream length %d (interval accounting bug)", final.Stats.Retired, n)
@@ -193,12 +214,8 @@ func RunSampled(ctx context.Context, m Machine, p *isa.Program, image *arch.Memo
 		// extrapolate to the full length and take the exact final state from
 		// the functional pass.
 		var measured uint64
-		for _, ck := range cks {
-			end := ck.End
-			if end > n {
-				end = n
-			}
-			measured += end - ck.Measure
+		for _, iv := range ivs {
+			measured += min(iv.end, n) - iv.measure
 		}
 		if final.Stats.Retired != measured {
 			return nil, fmt.Errorf("sim: stitched retired %d != measured span %d (interval accounting bug)", final.Stats.Retired, measured)

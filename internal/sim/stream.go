@@ -32,16 +32,28 @@ func (d *DynInst) Addr() uint32 { return isa.InstAddr(d.Index) }
 // retaining a sliding window of dynamic instructions. Pipelines index it by
 // sequence number; Release discards entries below a given sequence.
 //
+// Interpretation runs on the superblock interpreter in chunks of
+// streamChunk instructions, decoded with the same function as BuildTrace, so
+// the interpreter may run up to one chunk ahead of the consumer. An
+// interpreter fault is held until the consumer asks for the sequence that
+// faulted, which is where a one-instruction-at-a-time interpreter would
+// have reported it.
+//
 // A stream built over a pre-decoded Trace (StreamFor) serves the same
 // interface straight out of the trace's flat slice: At is a bounds check and
 // an index, Release is a no-op, and nothing allocates.
 type Stream struct {
 	prog  *isa.Program
+	sb    *arch.SBProgram
 	state *arch.State
-	base  uint64 // seq of window[0]
+	// win is a power-of-two ring holding sequences [base, state.Retired):
+	// the window always ends where the interpreter stopped.
 	win   []*DynInst
+	base  uint64
 	ended bool
 	limit uint64
+	err   error // interpreter fault past the window's end
+	evs   []arch.ExecEvent
 	// free recycles DynInst records released from the window, making the
 	// steady-state interpret loop allocation-free. A pointer returned by At
 	// is therefore valid only until its sequence is released.
@@ -51,11 +63,16 @@ type Stream struct {
 	tr *Trace
 }
 
+// streamChunk is how many instructions a lazy stream interprets per
+// superblock call: enough to amortize the call's register copies, few
+// enough that the decoded records stay cache-resident.
+const streamChunk = 256
+
 // NewStream starts interpretation over mem (which the stream owns and
 // mutates; clone the image if the caller needs it pristine). limit bounds
 // the dynamic instruction count.
 func NewStream(p *isa.Program, m *arch.Memory, limit uint64) *Stream {
-	return &Stream{prog: p, state: arch.NewState(m), limit: limit}
+	return newLazyStream(p, arch.NewState(m), limit)
 }
 
 // StreamFrom returns the stream for an interval run starting at checkpoint
@@ -68,8 +85,18 @@ func StreamFrom(p *isa.Program, ck *Checkpoint, limit uint64, tr *Trace) *Stream
 	if tr != nil && tr.prog == p && uint64(len(tr.insts)) <= limit {
 		return &Stream{prog: p, tr: tr, ended: true}
 	}
-	st := &arch.State{RF: ck.RF.Clone(), Mem: ck.Mem.Clone(), PC: ck.PC, Retired: ck.Seq}
-	return &Stream{prog: p, state: st, base: ck.Seq, limit: limit}
+	return newLazyStream(p, &arch.State{RF: ck.RF.Clone(), Mem: ck.Mem.Clone(), PC: ck.PC, Retired: ck.Seq}, limit)
+}
+
+func newLazyStream(p *isa.Program, st *arch.State, limit uint64) *Stream {
+	return &Stream{
+		prog:  p,
+		sb:    arch.NewSBProgram(p),
+		state: st,
+		base:  st.Retired,
+		limit: limit,
+		evs:   make([]arch.ExecEvent, streamChunk),
+	}
 }
 
 // At returns the dynamic instruction at seq, interpreting forward as needed.
@@ -87,69 +114,75 @@ func (s *Stream) At(seq uint64) (*DynInst, error) {
 	if seq < s.base {
 		panic(fmt.Sprintf("sim: stream access to released seq %d (base %d)", seq, s.base))
 	}
-	for seq >= s.base+uint64(len(s.win)) {
+	for seq >= s.state.Retired {
 		if s.ended {
 			return nil, nil
 		}
-		if err := s.fetchOne(); err != nil {
+		if err := s.fill(); err != nil {
 			return nil, err
 		}
 	}
-	return s.win[seq-s.base], nil
+	return s.win[seq&uint64(len(s.win)-1)], nil
 }
 
-func (s *Stream) fetchOne() error {
+// fill interprets the next chunk and appends its instructions to the
+// window. It returns an error only when no instruction could be produced.
+func (s *Stream) fill() error {
+	if s.err != nil {
+		return s.err
+	}
 	if s.state.Retired >= s.limit {
 		return fmt.Errorf("sim: dynamic instruction limit %d exceeded", s.limit)
 	}
-	idx := s.state.PC
-	info, err := s.state.Step(s.prog)
-	if err != nil {
-		return err
+	head := s.state.Retired
+	if need := head - s.base + uint64(len(s.evs)); need > uint64(len(s.win)) {
+		s.grow(need)
 	}
-	var d *DynInst
-	if n := len(s.free); n > 0 {
-		d = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		d = new(DynInst)
+	_, n, err := s.sb.ExecTrace(s.state, s.limit, s.evs)
+	s.err = err
+	if k := len(s.free); k < n {
+		blk := make([]DynInst, n-k)
+		for i := range blk {
+			s.free = append(s.free, &blk[i])
+		}
 	}
-	*d = DynInst{
-		Seq:      s.base + uint64(len(s.win)),
-		Index:    idx,
-		Inst:     &s.prog.Insts[idx],
-		Squashed: info.Squashed,
-		IsLoad:   info.IsLoad,
-		IsStore:  info.IsStore,
-		MemAddr:  info.MemAddr,
-		IsBranch: info.IsBranch,
-		Taken:    info.Taken,
-		NextIdx:  info.NextPC,
-		Halt:     s.state.Halted,
+	mask := uint64(len(s.win) - 1)
+	for i := range s.evs[:n] {
+		d := s.free[len(s.free)-1]
+		s.free = s.free[:len(s.free)-1]
+		decode(d, s.prog, &s.evs[i], head)
+		s.win[head&mask] = d
+		head++
 	}
-	s.win = append(s.win, d)
-	if s.state.Halted {
-		s.ended = true
-	}
+	s.ended = s.state.Halted
 	return nil
+}
+
+// grow resizes the window ring to a power of two holding at least need
+// entries, keeping each live sequence's record.
+func (s *Stream) grow(need uint64) {
+	size := max(uint64(len(s.win)), 2*streamChunk)
+	for size < need {
+		size *= 2
+	}
+	win := make([]*DynInst, size)
+	for seq := s.base; seq < s.state.Retired; seq++ {
+		win[seq&(size-1)] = s.win[seq&uint64(len(s.win)-1)]
+	}
+	s.win = win
 }
 
 // Release discards window entries with sequence below seq, recycling their
 // records.
 func (s *Stream) Release(seq uint64) {
-	if s.tr != nil || seq <= s.base {
+	if s.tr != nil {
 		return
 	}
-	drop := seq - s.base
-	if drop > uint64(len(s.win)) {
-		drop = uint64(len(s.win))
+	seq = min(seq, s.state.Retired)
+	mask := uint64(len(s.win) - 1)
+	for ; s.base < seq; s.base++ {
+		s.free = append(s.free, s.win[s.base&mask])
 	}
-	s.base += drop
-	s.free = append(s.free, s.win[:drop]...)
-	// Copy down rather than reslicing so the window's backing array does
-	// not grow without bound.
-	n := copy(s.win, s.win[drop:])
-	s.win = s.win[:n]
 }
 
 // Ended reports whether the halt instruction has been produced.
@@ -161,7 +194,7 @@ func (s *Stream) EndSeq() uint64 {
 	if s.tr != nil {
 		return uint64(len(s.tr.insts)) - 1
 	}
-	return s.base + uint64(len(s.win)) - 1
+	return s.state.Retired - 1
 }
 
 // Retired returns how many instructions the oracle has interpreted.

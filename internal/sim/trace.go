@@ -7,6 +7,14 @@ import (
 	"multipass/internal/isa"
 )
 
+// TraceLimit caps pre-decoded traces: a program whose dynamic stream is
+// longer is not flattened, and its runs read the lazy Stream instead of
+// holding a huge flat trace.
+const TraceLimit = 1 << 22
+
+// traceChunk is how many events BuildTrace decodes per superblock call.
+const traceChunk = 4096
+
 // Trace is a fully pre-decoded dynamic instruction stream: the oracle
 // interpreter's output for one (program, image) pair, flattened into a
 // contiguous slice, plus the final architectural state. A Trace is immutable
@@ -22,34 +30,61 @@ type Trace struct {
 // BuildTrace interprets the program over a clone of image to completion and
 // returns the flattened stream. It fails if the program does not halt within
 // limit dynamic instructions. The image itself is not mutated.
+//
+// A first superblock run without events learns the stream length, so a
+// program over the limit fails after a bounded functional run and one that
+// fits decodes into an exact-size slice on a second run.
 func BuildTrace(p *isa.Program, image *arch.Memory, limit uint64) (*Trace, error) {
+	sb := arch.NewSBProgram(p)
+	probe := arch.NewState(image.Clone())
+	if _, err := sb.Exec(probe, limit); err != nil {
+		return nil, err
+	}
+	if !probe.Halted {
+		return nil, fmt.Errorf("sim: trace exceeds %d dynamic instructions", limit)
+	}
+	n := probe.Retired
+	tr := &Trace{prog: p, insts: make([]DynInst, n)}
 	st := arch.NewState(image.Clone())
-	tr := &Trace{prog: p}
+	evs := make([]arch.ExecEvent, min(n+1, traceChunk))
 	for !st.Halted {
-		if st.Retired >= limit {
-			return nil, fmt.Errorf("sim: trace exceeds %d dynamic instructions", limit)
-		}
-		idx := st.PC
-		info, err := st.Step(p)
+		seq := st.Retired
+		_, k, err := sb.ExecTrace(st, n, evs)
 		if err != nil {
 			return nil, err
 		}
-		tr.insts = append(tr.insts, DynInst{
-			Seq:      uint64(len(tr.insts)),
-			Index:    idx,
-			Inst:     &p.Insts[idx],
-			Squashed: info.Squashed,
-			IsLoad:   info.IsLoad,
-			IsStore:  info.IsStore,
-			MemAddr:  info.MemAddr,
-			IsBranch: info.IsBranch,
-			Taken:    info.Taken,
-			NextIdx:  info.NextPC,
-			Halt:     st.Halted,
-		})
+		for i := range evs[:k] {
+			decode(&tr.insts[seq+uint64(i)], p, &evs[i], seq+uint64(i))
+		}
 	}
 	tr.final = st
 	return tr, nil
+}
+
+// decode expands one superblock event into the dynamic instruction at seq.
+// It is the only place a DynInst is built: pre-decoded traces and lazy
+// streams share it.
+func decode(d *DynInst, p *isa.Program, e *arch.ExecEvent, seq uint64) {
+	in := &p.Insts[e.Idx]
+	taken := e.Flags&arch.EvTaken != 0
+	next := int(e.Idx) + 1
+	if taken {
+		next = int(in.Target)
+	}
+	squashed := e.Flags&arch.EvSquash != 0
+	*d = DynInst{
+		Seq:      seq,
+		Index:    int(e.Idx),
+		Inst:     in,
+		Squashed: squashed,
+		IsLoad:   e.Flags&arch.EvLoad != 0,
+		IsStore:  e.Flags&arch.EvStore != 0,
+		MemAddr:  e.MemAddr,
+		IsBranch: e.Flags&arch.EvBranch != 0,
+		Taken:    taken,
+		NextIdx:  next,
+		Halt:     !squashed && in.Op.Kind() == isa.KindHalt,
+	}
 }
 
 // Prog returns the program the trace was decoded from.

@@ -15,8 +15,9 @@ import (
 
 // diffInterps runs p through both the superblock and the step-wise
 // interpreter and fails the test on any divergence: final architectural
-// state (registers including NaT bits, memory, retired count) and the
-// retired-class counters must be byte-identical.
+// state (registers including NaT bits, memory, retired count), the
+// retired-class counters, and the per-instruction event stream must be
+// byte-identical.
 func diffInterps(t *testing.T, label string, p *isa.Program, limit uint64) {
 	t.Helper()
 	swMem, sbMem := arch.NewMemory(), arch.NewMemory()
@@ -38,6 +39,56 @@ func diffInterps(t *testing.T, label string, p *isa.Program, limit uint64) {
 		t.Fatalf("%s: counters diverged: stepwise {ld %d st %d br %d tk %d} superblock {ld %d st %d br %d tk %d}",
 			label, sw.Loads, sw.Stores, sw.Branches, sw.Taken,
 			sb.Loads, sb.Stores, sb.Branches, sb.Taken)
+	}
+	diffEvents(t, label, p, limit)
+}
+
+// diffEvents checks every ExecTrace event against the StepInfo of the same
+// instruction: index, squash, memory and branch flags, and effective
+// address. Chunks are short and oddly sized, and stop points every
+// 97 instructions split fused compare+branch pairs, so resumption on the
+// swallowed branch is exercised throughout.
+func diffEvents(t *testing.T, label string, p *isa.Program, limit uint64) {
+	t.Helper()
+	sb := arch.NewSBProgram(p)
+	ref, st := arch.NewState(arch.NewMemory()), arch.NewState(arch.NewMemory())
+	buf := make([]arch.ExecEvent, 61)
+	for !st.Halted && st.Retired < limit {
+		_, n, err := sb.ExecTrace(st, min(st.Retired+97, limit), buf)
+		for _, got := range buf[:n] {
+			info, rerr := ref.Step(p)
+			if rerr != nil {
+				t.Fatalf("%s: step-wise failed at seq %d where the superblock retired: %v", label, ref.Retired, rerr)
+			}
+			want := arch.ExecEvent{Idx: int32(info.Index)}
+			if info.Squashed {
+				want.Flags |= arch.EvSquash
+			}
+			if info.IsLoad || info.IsStore {
+				want.MemAddr = info.MemAddr
+			}
+			if info.IsLoad {
+				want.Flags |= arch.EvLoad
+			}
+			if info.IsStore {
+				want.Flags |= arch.EvStore
+			}
+			if info.IsBranch {
+				want.Flags |= arch.EvBranch
+			}
+			if info.Taken {
+				want.Flags |= arch.EvTaken
+			}
+			if got != want {
+				t.Fatalf("%s: event at seq %d = %+v, step-wise %+v", label, ref.Retired-1, got, want)
+			}
+		}
+		if err != nil {
+			return // error parity is diffInterps' check
+		}
+		if n == 0 {
+			t.Fatalf("%s: ExecTrace made no progress at seq %d", label, st.Retired)
+		}
 	}
 }
 
