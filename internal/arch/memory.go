@@ -8,7 +8,7 @@ package arch
 
 import (
 	"encoding/binary"
-	"sort"
+	"sync/atomic"
 
 	"multipass/internal/isa"
 )
@@ -17,131 +17,144 @@ const (
 	pageShift = 12
 	pageSize  = 1 << pageShift
 	pageMask  = pageSize - 1
+
+	// A page number (20 bits) splits into a top-level index and a leaf
+	// index of leafShift bits each.
+	leafShift = 10
+	leafSize  = 1 << leafShift
+	leafMask  = leafSize - 1
 )
+
+// leaf maps leafSize consecutive page numbers (4 MiB of address space) to
+// their pages. A leaf belongs to the generation that created it: only a
+// memory whose current generation equals gen may write the leaf, and then
+// only in place to the pages its own bitmap marks, which that generation
+// allocated itself. Every other page in the leaf is shared with at least
+// one other memory and is never written. Keeping the ownership bits here
+// leaves each page a bare 4096-byte allocation.
+type leaf struct {
+	pages [leafSize]*[pageSize]byte
+	gen   uint64
+	own   [leafSize / 64]uint64
+}
+
+// generations hands out memory generations; 0 means none assigned yet.
+var generations atomic.Uint64
 
 // Memory is a sparse, little-endian, byte-addressable 32-bit memory.
 // The zero value is an empty memory; unwritten bytes read as zero.
 //
-// A one-entry translation cache short-circuits the page-map lookup: the
-// cycle loops touch memory with strong page locality (pointer chases stay in
-// a record, streams walk lines), so most accesses hit the last page used.
+// Pages live in a two-level table and are copy-on-write: Clone copies only
+// the top-level table, so source and clone share every existing page, and a
+// memory copies a shared page (and its leaf) the first time it writes it.
+// Clone ends both sides' ownership of existing pages by leaving the source
+// without a generation; each side takes a fresh one at its next write, so a
+// page reachable from two memories is never written. Clone writes nothing
+// but that atomic generation, so any number of goroutines may clone one
+// image that nobody writes, as shared program images are.
+//
+// A one-entry translation cache short-circuits the table walk: the cycle
+// loops touch memory with strong page locality (pointer chases stay in a
+// record, streams walk lines), so most accesses hit the last page used.
 type Memory struct {
-	pages  map[uint32]*[pageSize]byte
-	lastPN uint32
-	lastPG *[pageSize]byte
-
-	// Dirty-page tracking for delta checkpoint captures (TrackDirty /
-	// CaptureDelta). dirty is nil unless tracking is enabled, so the only
-	// cost on ordinary memories is one nil check per store. dirtyPN is a
-	// one-entry mark cache: stores have strong page locality, so most marks
-	// hit the page already recorded.
-	dirty   map[uint32]struct{}
-	dirtyPN uint32
-	dirtyOK bool
+	gen atomic.Uint64
+	// lastPG is page lastPN; lastGen is the generation it is private to, or
+	// 0 if it was filled by a read. Every page copy goes through own, which
+	// refills the entry, so a cached pointer is never stale.
+	lastPN  uint32
+	lastPG  *[pageSize]byte
+	lastGen uint64
+	top     [leafSize]*leaf
 }
 
 // NewMemory returns an empty memory.
-func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint32]*[pageSize]byte)}
-}
+func NewMemory() *Memory { return new(Memory) }
 
-// Clone returns a deep copy of the memory, used to give each timing model an
-// identical initial image.
+// Clone returns a memory with the same contents, in time proportional to
+// the top-level table rather than the image: every page is shared until one
+// side writes it.
 func (m *Memory) Clone() *Memory {
-	c := NewMemory()
-	for pn, pg := range m.pages {
-		cp := *pg
-		c.pages[pn] = &cp
-	}
+	c := &Memory{top: m.top}
+	m.gen.Store(0)
 	return c
 }
 
-func (m *Memory) page(addr uint32, create bool) *[pageSize]byte {
-	pn := addr >> pageShift
+// page returns page pn for reading, or nil if it was never written.
+func (m *Memory) page(pn uint32) *[pageSize]byte {
 	if m.lastPG != nil && m.lastPN == pn {
 		return m.lastPG
 	}
-	if m.pages == nil {
-		if !create {
-			return nil
-		}
-		m.pages = make(map[uint32]*[pageSize]byte)
+	l := m.top[pn>>leafShift]
+	if l == nil {
+		return nil
 	}
-	pg := m.pages[pn]
-	if pg == nil {
-		if !create {
-			return nil
-		}
-		pg = new([pageSize]byte)
-		m.pages[pn] = pg
+	pg := l.pages[pn&leafMask]
+	if pg != nil {
+		m.lastPN, m.lastPG, m.lastGen = pn, pg, 0
 	}
-	m.lastPN = pn
-	m.lastPG = pg
 	return pg
 }
 
-// TrackDirty enables dirty-page tracking: from now on every store records
-// its page, and CaptureDelta can snapshot the memory at a cost proportional
-// to the pages written since the previous capture rather than the full
-// image. Tracking stays enabled for the memory's lifetime.
-func (m *Memory) TrackDirty() {
-	if m.dirty == nil {
-		m.dirty = make(map[uint32]struct{})
+// writable returns page pn for writing: a page private to the current
+// generation, which stays valid for writes until the next Clone.
+func (m *Memory) writable(pn uint32) *[pageSize]byte {
+	if g := m.lastGen; g != 0 && m.lastPN == pn && g == m.gen.Load() {
+		return m.lastPG
 	}
+	return m.own(pn)
 }
 
-// markStore records addr's page as dirty. Every store entry point calls it;
-// on memories without tracking it is a nil check.
-func (m *Memory) markStore(addr uint32) {
-	if m.dirty == nil {
-		return
+// own makes page pn private to the current generation, taking a fresh
+// generation first if the memory has none, and copying the leaf and the
+// page if either is shared (an absent page becomes a zero page).
+func (m *Memory) own(pn uint32) *[pageSize]byte {
+	gen := m.gen.Load()
+	if gen == 0 {
+		gen = generations.Add(1)
+		m.gen.Store(gen)
 	}
-	pn := addr >> pageShift
-	if m.dirtyOK && m.dirtyPN == pn {
-		return
+	t := pn >> leafShift
+	l := m.top[t]
+	if l == nil || l.gen != gen {
+		nl := &leaf{gen: gen}
+		if l != nil {
+			nl.pages = l.pages
+		}
+		m.top[t], l = nl, nl
 	}
-	m.dirty[pn] = struct{}{}
-	m.dirtyPN, m.dirtyOK = pn, true
+	i := pn & leafMask
+	pg := l.pages[i]
+	if bit := uint64(1) << (i & 63); l.own[i>>6]&bit == 0 {
+		np := new([pageSize]byte)
+		if pg != nil {
+			*np = *pg
+		}
+		pg = np
+		l.pages[i] = pg
+		l.own[i>>6] |= bit
+	}
+	m.lastPN, m.lastPG, m.lastGen = pn, pg, gen
+	return pg
 }
 
-// CaptureDelta returns an immutable snapshot of the memory for checkpoint
-// use. With prev == nil (or tracking disabled) it is a full deep copy.
-// Otherwise prev must be the snapshot returned by the previous CaptureDelta
-// on this memory: pages untouched since then are shared with prev by
-// pointer, and only pages dirtied in between are copied fresh, so capture
-// cost follows the store stream, not the image size. The dirty set resets on
-// every capture.
-//
-// Snapshots are read-only by contract: every checkpoint consumer Clones the
-// snapshot before executing on it. Writing through a snapshot would corrupt
-// the pages it shares with its predecessors.
-func (m *Memory) CaptureDelta(prev *Memory) *Memory {
-	if m.dirty == nil || prev == nil {
-		c := m.Clone()
-		if m.dirty != nil {
-			m.dirty = make(map[uint32]struct{})
-			m.dirtyOK = false
+// eachPage calls fn for every allocated page in ascending page-number
+// order.
+func (m *Memory) eachPage(fn func(pn uint32, pg *[pageSize]byte)) {
+	for t, l := range &m.top {
+		if l == nil {
+			continue
 		}
-		return c
-	}
-	c := &Memory{pages: make(map[uint32]*[pageSize]byte, len(m.pages))}
-	for pn, pg := range prev.pages {
-		c.pages[pn] = pg
-	}
-	for pn := range m.dirty {
-		if pg := m.pages[pn]; pg != nil {
-			cp := *pg
-			c.pages[pn] = &cp
+		for i, pg := range &l.pages {
+			if pg != nil {
+				fn(uint32(t)<<leafShift|uint32(i), pg)
+			}
 		}
 	}
-	m.dirty = make(map[uint32]struct{})
-	m.dirtyOK = false
-	return c
 }
 
 // LoadByte reads one byte.
 func (m *Memory) LoadByte(addr uint32) byte {
-	pg := m.page(addr, false)
+	pg := m.page(addr >> pageShift)
 	if pg == nil {
 		return 0
 	}
@@ -150,8 +163,7 @@ func (m *Memory) LoadByte(addr uint32) byte {
 
 // StoreByte writes one byte.
 func (m *Memory) StoreByte(addr uint32, v byte) {
-	m.markStore(addr)
-	m.page(addr, true)[addr&pageMask] = v
+	m.writable(addr >> pageShift)[addr&pageMask] = v
 }
 
 // Load reads an n-byte little-endian value (n in 1..8). Accesses contained
@@ -159,7 +171,7 @@ func (m *Memory) StoreByte(addr uint32, v byte) {
 // fall back to the byte loop.
 func (m *Memory) Load(addr uint32, n int) uint64 {
 	if off := int(addr & pageMask); off+n <= pageSize {
-		pg := m.page(addr, false)
+		pg := m.page(addr >> pageShift)
 		if pg == nil {
 			return 0
 		}
@@ -190,8 +202,7 @@ func (m *Memory) Load(addr uint32, n int) uint64 {
 // single-page fast path as Load.
 func (m *Memory) Store(addr uint32, n int, v uint64) {
 	if off := int(addr & pageMask); off+n <= pageSize {
-		m.markStore(addr)
-		pg := m.page(addr, true)
+		pg := m.writable(addr >> pageShift)
 		switch n {
 		case 4:
 			binary.LittleEndian.PutUint32(pg[off:], uint32(v))
@@ -228,30 +239,52 @@ func (m *Memory) StoreWord(op isa.Op, addr uint32, v isa.Word) {
 	m.Store(addr, op.MemBytes(), uint64(v))
 }
 
-// Equal reports whether two memories have identical contents.
-func (m *Memory) Equal(o *Memory) bool {
-	return m.subsetOf(o) && o.subsetOf(m)
+// zeroPage stands in for an absent page when comparing memories.
+var zeroPage [pageSize]byte
+
+// pageAt returns page i of l, or the zero page if it is absent.
+func pageAt(l *leaf, i int) *[pageSize]byte {
+	if l == nil || l.pages[i] == nil {
+		return &zeroPage
+	}
+	return l.pages[i]
 }
 
-func (m *Memory) subsetOf(o *Memory) bool {
-	for pn, pg := range m.pages {
-		opg := o.pages[pn]
-		for i := range pg {
-			var ob byte
-			if opg != nil {
-				ob = opg[i]
-			}
-			if pg[i] != ob {
-				return false
+// diffPages calls fn for every page number whose contents may differ
+// between m and o, in ascending order, with absent pages as the zero page.
+// Leaves and pages the two memories share are skipped without reading them.
+func (m *Memory) diffPages(o *Memory, fn func(pn uint32, a, b *[pageSize]byte) bool) {
+	for t := range m.top {
+		la, lb := m.top[t], o.top[t]
+		if la == lb {
+			continue
+		}
+		for i := 0; i < leafSize; i++ {
+			a, b := pageAt(la, i), pageAt(lb, i)
+			if a != b && !fn(uint32(t)<<leafShift|uint32(i), a, b) {
+				return
 			}
 		}
 	}
-	return true
+}
+
+// Equal reports whether two memories have identical contents.
+func (m *Memory) Equal(o *Memory) bool {
+	eq := true
+	m.diffPages(o, func(_ uint32, a, b *[pageSize]byte) bool {
+		eq = *a == *b
+		return eq
+	})
+	return eq
 }
 
 // FootprintBytes returns the number of bytes in allocated pages, a coarse
 // measure of a workload's data footprint.
-func (m *Memory) FootprintBytes() int { return len(m.pages) * pageSize }
+func (m *Memory) FootprintBytes() int {
+	n := 0
+	m.eachPage(func(uint32, *[pageSize]byte) { n++ })
+	return n * pageSize
+}
 
 // WordDiff is one differing aligned 32-bit word between two memories, for
 // divergence diagnostics.
@@ -263,39 +296,19 @@ type WordDiff struct {
 // DiffWords returns up to limit aligned words that differ between m and o, in
 // ascending address order. Unallocated pages compare as zero.
 func (m *Memory) DiffWords(o *Memory, limit int) []WordDiff {
-	pns := make(map[uint32]bool, len(m.pages)+len(o.pages))
-	for pn := range m.pages {
-		pns[pn] = true
-	}
-	for pn := range o.pages {
-		pns[pn] = true
-	}
-	sorted := make([]uint32, 0, len(pns))
-	for pn := range pns {
-		sorted = append(sorted, pn)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-
 	var out []WordDiff
-	var zero [pageSize]byte
-	for _, pn := range sorted {
-		a, b := m.pages[pn], o.pages[pn]
-		if a == nil {
-			a = &zero
-		}
-		if b == nil {
-			b = &zero
-		}
+	m.diffPages(o, func(pn uint32, a, b *[pageSize]byte) bool {
 		for off := 0; off < pageSize; off += 4 {
 			wa := binary.LittleEndian.Uint32(a[off:])
 			wb := binary.LittleEndian.Uint32(b[off:])
 			if wa != wb {
 				out = append(out, WordDiff{Addr: pn<<pageShift | uint32(off), A: wa, B: wb})
 				if len(out) >= limit {
-					return out
+					return false
 				}
 			}
 		}
-	}
+		return true
+	})
 	return out
 }

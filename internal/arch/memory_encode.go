@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Binary memory-image format: a fixed 8-byte magic, a page count, then per
@@ -18,28 +17,24 @@ var memoryMagic = [8]byte{'M', 'P', 'M', 'E', 'M', '0', '1', '\n'}
 
 // MarshalBinary serializes the memory image deterministically.
 func (m *Memory) MarshalBinary() ([]byte, error) {
-	pns := make([]uint32, 0, len(m.pages))
-	for pn := range m.pages {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-
+	n := m.FootprintBytes() / pageSize
 	var buf bytes.Buffer
-	buf.Grow(len(memoryMagic) + 4 + len(pns)*(4+pageSize))
+	buf.Grow(len(memoryMagic) + 4 + n*(4+pageSize))
 	buf.Write(memoryMagic[:])
 	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(pns)))
+	binary.LittleEndian.PutUint32(u32[:], uint32(n))
 	buf.Write(u32[:])
-	for _, pn := range pns {
+	m.eachPage(func(pn uint32, pg *[pageSize]byte) {
 		binary.LittleEndian.PutUint32(u32[:], pn)
 		buf.Write(u32[:])
-		buf.Write(m.pages[pn][:])
-	}
+		buf.Write(pg[:])
+	})
 	return buf.Bytes(), nil
 }
 
 // UnmarshalBinary deserializes an image written by MarshalBinary,
-// replacing the memory's contents.
+// replacing the memory's contents. The decoded pages are private to the
+// memory.
 func (m *Memory) UnmarshalBinary(data []byte) error {
 	r := bytes.NewReader(data)
 	var magic [8]byte
@@ -54,26 +49,27 @@ func (m *Memory) UnmarshalBinary(data []byte) error {
 	if n > 1<<20 {
 		return fmt.Errorf("arch: unreasonable page count %d", n)
 	}
-	pages := make(map[uint32]*[pageSize]byte, n)
+	var d Memory
 	for i := uint32(0); i < n; i++ {
 		if _, err := io.ReadFull(r, u32[:]); err != nil {
 			return fmt.Errorf("arch: truncated memory image: %w", err)
 		}
 		pn := binary.LittleEndian.Uint32(u32[:])
-		if _, dup := pages[pn]; dup {
+		if pn>>leafShift >= leafSize {
+			return fmt.Errorf("arch: page %d outside the 32-bit address space", pn)
+		}
+		if d.page(pn) != nil {
 			return fmt.Errorf("arch: duplicate page %d in memory image", pn)
 		}
-		pg := new([pageSize]byte)
-		if _, err := io.ReadFull(r, pg[:]); err != nil {
+		if _, err := io.ReadFull(r, d.own(pn)[:]); err != nil {
 			return fmt.Errorf("arch: truncated memory image: %w", err)
 		}
-		pages[pn] = pg
 	}
 	if r.Len() != 0 {
 		return fmt.Errorf("arch: %d trailing bytes in memory image", r.Len())
 	}
-	m.pages = pages
-	m.lastPG = nil
-	m.lastPN = 0
+	m.top = d.top
+	m.gen.Store(d.gen.Load())
+	m.lastPG, m.lastGen = nil, 0
 	return nil
 }

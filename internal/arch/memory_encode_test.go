@@ -69,11 +69,19 @@ func TestMemoryDecodeRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Page 1<<20 would start at address 1<<32.
+	outside := append([]byte{}, data...)
+	outside[12], outside[13], outside[14], outside[15] = 0, 0, 0x10, 0
+	dup := append(append([]byte{}, data...), data[12:]...)
+	dup[8] = 2
+
 	cases := map[string][]byte{
-		"bad magic":  append([]byte("XXXXXXXX"), data[8:]...),
-		"truncated":  data[:len(data)-10],
-		"trailing":   append(append([]byte{}, data...), 0xff),
-		"empty blob": {},
+		"bad magic":    append([]byte("XXXXXXXX"), data[8:]...),
+		"truncated":    data[:len(data)-10],
+		"trailing":     append(append([]byte{}, data...), 0xff),
+		"empty blob":   {},
+		"page outside": outside,
+		"duplicate":    dup,
 	}
 	for name, blob := range cases {
 		if err := NewMemory().UnmarshalBinary(blob); err == nil {

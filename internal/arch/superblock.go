@@ -427,14 +427,24 @@ func (sb *SBProgram) exec(st *State, stopAt uint64, evs []ExecEvent) (ExecCounts
 
 	// Local direct-mapped page translation cache for the inlined memory fast
 	// paths below: kernels alternate between a handful of hot pages (input
-	// buffer, output buffer, tables), which thrashes a one-entry cache. Page
-	// pointers are stable for a Memory's lifetime, so entries stay valid
-	// across the slow paths (which go through mem's own methods and keep its
-	// internal cache coherent independently). A nil pg marks an empty entry;
-	// unallocated pages are never cached.
+	// buffer, output buffer, tables), which thrashes a one-entry cache.
+	// tlbKey is pn<<1, plus 1 when tlbPG is private to mem's generation and
+	// so writable in place. Only Clone changes a generation once a write has
+	// set it, so a writable entry stays valid for the whole call. A read
+	// entry may point at a shared page that a write copies: the inline store
+	// replaces the entry for its own page, and dropReads forgets every read
+	// entry after a write through mem's own methods. A nil pg marks an empty
+	// entry; unallocated pages are never cached.
 	const tlbSize = 64
-	var tlbPN [tlbSize]uint32
+	var tlbKey [tlbSize]uint32
 	var tlbPG [tlbSize]*[pageSize]byte
+	dropReads := func() {
+		for j := range tlbKey {
+			if tlbKey[j]&1 == 0 {
+				tlbPG[j] = nil
+			}
+		}
+	}
 
 	// Working register arrays: architectural registers plus the zero and
 	// discard slots. Copied in once per call and synchronized back on exit.
@@ -469,6 +479,7 @@ func (sb *SBProgram) exec(st *State, stopAt uint64, evs []ExecEvent) (ExecCounts
 	stepOne := func(pc int) (cont bool, err error) {
 		sync(pc)
 		info, err := st.Step(sb.p)
+		dropReads()
 		if err != nil {
 			return false, err
 		}
@@ -651,9 +662,9 @@ func (sb *SBProgram) exec(st *State, stopAt uint64, evs []ExecEvent) (ExecCounts
 				pn := addr >> pageShift
 				ti := pn & (tlbSize - 1)
 				pg := tlbPG[ti]
-				if pg == nil || tlbPN[ti] != pn {
-					if pg = mem.page(addr, false); pg != nil {
-						tlbPN[ti], tlbPG[ti] = pn, pg
+				if pg == nil || tlbKey[ti]>>1 != pn {
+					if pg = mem.page(pn); pg != nil {
+						tlbKey[ti], tlbPG[ti] = pn<<1, pg
 					}
 				}
 				if pg != nil {
@@ -697,11 +708,10 @@ func (sb *SBProgram) exec(st *State, stopAt uint64, evs []ExecEvent) (ExecCounts
 				pn := addr >> pageShift
 				ti := pn & (tlbSize - 1)
 				pg := tlbPG[ti]
-				if pg == nil || tlbPN[ti] != pn {
-					pg = mem.page(addr, true)
-					tlbPN[ti], tlbPG[ti] = pn, pg
+				if tlbKey[ti] != pn<<1|1 {
+					pg = mem.writable(pn)
+					tlbKey[ti], tlbPG[ti] = pn<<1|1, pg
 				}
-				mem.markStore(addr)
 				switch o.sub {
 				case 4:
 					binary.LittleEndian.PutUint32(pg[off:], uint32(v))
@@ -714,6 +724,7 @@ func (sb *SBProgram) exec(st *State, stopAt uint64, evs []ExecEvent) (ExecCounts
 				}
 			} else {
 				mem.Store(addr, int(o.sub), v)
+				dropReads()
 			}
 			c.Stores++
 			evFlags, evAddr = EvStore, addr

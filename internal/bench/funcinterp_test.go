@@ -19,12 +19,14 @@ import (
 // differential check on real kernels: final state and counts must match.
 //
 // Methodology: the SBProgram is decoded once per kernel (the design point —
-// sim builds it once and reuses it across every checkpoint interval), the
-// image clone happens outside the timed window, and a forced GC between clone
-// and run keeps scaffolding garbage from being collected on either
-// interpreter's clock. Each step-wise rep runs back to back with its
-// superblock rep, so a loaded host slows both sides of a pair alike, and a
-// kernel's speedup is the median of its per-pair ratios.
+// sim builds it once and reuses it across every checkpoint interval), and
+// each rep's image is a private copy decoded from the image's encoding
+// before the timed window opens: a copy-on-write Clone would share every
+// page, and the first write to each page would copy it on the interpreter's
+// clock. A forced GC between copy and run keeps scaffolding garbage from
+// being collected on either interpreter's clock. Each step-wise rep runs back
+// to back with its superblock rep, so a loaded host slows both sides of a
+// pair alike, and a kernel's speedup is the median of its per-pair ratios.
 func TestFuncInterpSpeedupSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -38,8 +40,15 @@ func TestFuncInterpSpeedupSuite(t *testing.T) {
 			t.Fatal(err)
 		}
 		sb := arch.NewSBProgram(pr.P)
+		enc, err := pr.Image.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
 		timed := func(run func(*arch.Memory) (*arch.RunResult, error)) (*arch.RunResult, time.Duration) {
-			img := pr.Image.Clone()
+			img := arch.NewMemory()
+			if err := img.UnmarshalBinary(enc); err != nil {
+				t.Fatal(err)
+			}
 			runtime.GC()
 			start := time.Now()
 			res, err := run(img)

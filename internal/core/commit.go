@@ -57,8 +57,8 @@ group:
 			break
 		}
 		in := d.Inst
-		if r.ownPC != d.Index {
-			return fmt.Errorf("core: machine PC %d diverged from stream index %d at seq %d", r.ownPC, d.Index, d.Seq)
+		if r.ownPC != int(d.Index) {
+			return fmt.Errorf("core: machine PC %d diverged from stream index %d at seq %d", r.ownPC, d.Index, r.next)
 		}
 		e := r.rs.get(r.next)
 
@@ -211,10 +211,10 @@ func (r *run) commitMerge(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWrite
 	// path. Rally's in-order verify-then-flush of data-speculative loads
 	// guarantees this; a mismatch is a model bug.
 	if e.squashed != d.Squashed {
-		return false, false, fmt.Errorf("core: merged squash state diverged at seq %d", d.Seq)
+		return false, false, fmt.Errorf("core: merged squash state diverged at seq %d", r.next)
 	}
 	if e.branchDone && e.branchTaken != d.Taken {
-		return false, false, fmt.Errorf("core: merged branch direction diverged at seq %d", d.Seq)
+		return false, false, fmt.Errorf("core: merged branch direction diverged at seq %d", r.next)
 	}
 
 	if !e.squashed {
@@ -240,7 +240,7 @@ func (r *run) commitMerge(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWrite
 		r.setReady(in, readyC, kind, groupWrites, r.cfg.DisableRegroup)
 	}
 	r.st.Multipass.Merged++
-	r.traceMerge(d.Seq, e)
+	r.traceMerge(r.next, e)
 	r.st.Retired++
 	*progress++
 
@@ -248,11 +248,11 @@ func (r *run) commitMerge(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWrite
 		r.ownPC = int(in.Target)
 		redirect = true
 	} else {
-		r.ownPC = d.Index + 1
+		r.ownPC = int(d.Index) + 1
 	}
 	if in.Op.Kind() == isa.KindHalt {
 		// Halt never receives an RS entry (advance stops before it).
-		return false, false, fmt.Errorf("core: halt had an RS entry at seq %d", d.Seq)
+		return false, false, fmt.Errorf("core: halt had an RS entry at seq %d", r.next)
 	}
 	r.rs.drop(r.next)
 	r.next++
@@ -262,7 +262,7 @@ func (r *run) commitMerge(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWrite
 // commitSpecLoad re-performs a data-speculative load in rally mode using its
 // SMAQ address, verifying the preserved value and flushing on mismatch.
 func (r *run) commitSpecLoad(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWrites *sim.RegSet, progress *int, blocker *sim.StallKind, now uint64) (bool, error) {
-	in := d.Inst
+	in, seq := d.Inst, r.next
 	if groupWrites.Has(in.QP) {
 		return false, nil
 	}
@@ -272,7 +272,7 @@ func (r *run) commitSpecLoad(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWr
 		return false, nil
 	}
 	if !r.ownRF.Read(in.QP).Bool() {
-		return false, fmt.Errorf("core: data-speculative load was pre-executed but predicate is false at seq %d", d.Seq)
+		return false, fmt.Errorf("core: data-speculative load was pre-executed but predicate is false at seq %d", seq)
 	}
 	for _, reg := range in.Writes(r.regBuf[:0]) {
 		if groupWrites.Has(reg) {
@@ -291,7 +291,7 @@ func (r *run) commitSpecLoad(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWr
 	r.setReady(in, ready, sim.ProducerLoad, groupWrites, true)
 	r.st.Retired++
 	*progress++
-	r.ownPC = d.Index + 1
+	r.ownPC = int(d.Index) + 1
 	r.rs.drop(r.next)
 	r.next++
 
@@ -299,7 +299,7 @@ func (r *run) commitSpecLoad(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWr
 		// Value misspeculation: flush everything younger (§3.6).
 		r.st.Multipass.SpecFlushes++
 		flushed := r.rs.flushFrom(r.next)
-		r.traceFlush(d.Seq, flushed)
+		r.traceFlush(seq, flushed)
 		r.st.Multipass.Reexecuted += uint64(flushed)
 		r.fe.Flush(r.next, now+1+uint64(r.cfg.MispredictPenalty))
 		if r.maxPeek > r.next {
@@ -313,16 +313,16 @@ func (r *run) commitSpecLoad(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWr
 // commitExec executes one instruction architecturally (no RS entry).
 // Returns redirect=true when issue must stop at a control transfer.
 func (r *run) commitExec(d *sim.DynInst, qpTrue bool, groupWrites *sim.RegSet, now uint64) (bool, error) {
-	in := d.Inst
+	in, seq := d.Inst, r.next
 	r.st.Retired++
 	r.rs.drop(r.next)
 	r.next++
-	r.ownPC = d.Index + 1
+	r.ownPC = int(d.Index) + 1
 
 	if in.Op.IsBranch() {
 		taken := qpTrue
 		if taken != d.Taken {
-			return false, fmt.Errorf("core: branch direction diverged from oracle at seq %d", d.Seq)
+			return false, fmt.Errorf("core: branch direction diverged from oracle at seq %d", seq)
 		}
 		if taken {
 			r.ownPC = int(in.Target)
@@ -347,7 +347,7 @@ func (r *run) commitExec(d *sim.DynInst, qpTrue bool, groupWrites *sim.RegSet, n
 	case isa.KindLoad:
 		addr := arch.EffAddr(in, r.ownRF.Read(in.Src1))
 		if addr != d.MemAddr {
-			return false, fmt.Errorf("core: load address diverged from oracle at seq %d", d.Seq)
+			return false, fmt.Errorf("core: load address diverged from oracle at seq %d", seq)
 		}
 		ready := r.hier.AccessData(addr, now, false, false)
 		r.commitWrite(in, r.ownMem.LoadWord(in.Op, addr))
@@ -355,7 +355,7 @@ func (r *run) commitExec(d *sim.DynInst, qpTrue bool, groupWrites *sim.RegSet, n
 	case isa.KindStore:
 		addr := arch.EffAddr(in, r.ownRF.Read(in.Src1))
 		if addr != d.MemAddr {
-			return false, fmt.Errorf("core: store address diverged from oracle at seq %d", d.Seq)
+			return false, fmt.Errorf("core: store address diverged from oracle at seq %d", seq)
 		}
 		r.ownMem.StoreWord(in.Op, addr, r.ownRF.Read(in.Src2))
 		r.hier.AccessData(addr, now, true, false)

@@ -236,7 +236,7 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 				break
 			}
 			if e.D.Halt {
-				haltSeq = e.D.Seq
+				haltSeq = w.Base()
 			}
 			hb := blkAt(blkBase)
 			w.Retire()

@@ -210,8 +210,8 @@ func (m *Machine) runFrom(ctx context.Context, p *isa.Program, image *arch.Memor
 			}
 
 			// Issue: architecturally execute on the machine's own state.
-			if own.PC != d.Index {
-				return nil, fmt.Errorf("inorder: own PC %d diverged from stream index %d at seq %d", own.PC, d.Index, d.Seq)
+			if own.PC != int(d.Index) {
+				return nil, fmt.Errorf("inorder: own PC %d diverged from stream index %d at seq %d", own.PC, d.Index, next)
 			}
 			info, err := own.Step(p)
 			if err != nil {

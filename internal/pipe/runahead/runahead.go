@@ -375,7 +375,7 @@ group:
 			break
 		}
 
-		if r.own.PC != d.Index {
+		if r.own.PC != int(d.Index) {
 			return fmt.Errorf("runahead: own PC %d diverged from stream %d", r.own.PC, d.Index)
 		}
 		info, err := r.own.Step(r.p)

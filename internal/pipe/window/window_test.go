@@ -11,23 +11,24 @@ import (
 
 func r(i int) isa.Reg { return isa.IntReg(i) }
 
-// alu returns a dynamic add dst = a, b at seq.
-func alu(seq uint64, dst, a, b isa.Reg) *sim.DynInst {
-	return &sim.DynInst{Seq: seq, Inst: &isa.Inst{Op: isa.OpAdd, QP: isa.P0, Dst: dst, Src1: a, Src2: b}}
+// alu returns a dynamic add dst = a, b. Window.Insert gives each record
+// the next seq, so the helpers take none.
+func alu(dst, a, b isa.Reg) *sim.DynInst {
+	return &sim.DynInst{Inst: &isa.Inst{Op: isa.OpAdd, QP: isa.P0, Dst: dst, Src1: a, Src2: b}}
 }
 
-func load(seq uint64, dst, addr isa.Reg) *sim.DynInst {
-	return &sim.DynInst{Seq: seq, IsLoad: true, MemAddr: 0x1000,
+func load(dst, addr isa.Reg) *sim.DynInst {
+	return &sim.DynInst{IsLoad: true, MemAddr: 0x1000,
 		Inst: &isa.Inst{Op: isa.OpLd4, QP: isa.P0, Dst: dst, Src1: addr}}
 }
 
-func store(seq uint64, addr, val isa.Reg) *sim.DynInst {
-	return &sim.DynInst{Seq: seq, IsStore: true, MemAddr: 0x2000,
+func store(addr, val isa.Reg) *sim.DynInst {
+	return &sim.DynInst{IsStore: true, MemAddr: 0x2000,
 		Inst: &isa.Inst{Op: isa.OpSt4, QP: isa.P0, Src1: addr, Src2: val}}
 }
 
-func branch(seq uint64) *sim.DynInst {
-	return &sim.DynInst{Seq: seq, IsBranch: true, Inst: &isa.Inst{Op: isa.OpBr, QP: isa.P0}}
+func branch() *sim.DynInst {
+	return &sim.DynInst{IsBranch: true, Inst: &isa.Inst{Op: isa.OpBr, QP: isa.P0}}
 }
 
 // polledReady is the whole-window condition event-driven wakeup replaces:
@@ -80,16 +81,16 @@ func hier() *mem.Hierarchy { return mem.MustNewHierarchy(mem.BaseConfig()) }
 func TestSquashReinsertStaleEdge(t *testing.T) {
 	w := New(64, 0)
 	h := hier()
-	w.Insert(alu(0, r(8), r(9), r(9)))      // Q: writes r8
-	w.Insert(alu(1, r(1), r(9), r(9)))      // P: writes r1
-	w.Insert(branch(2))                     // mispredicts
-	c := w.Insert(alu(3, r(3), r(1), r(1))) // reads P twice
+	w.Insert(alu(r(8), r(9), r(9)))      // seq 0, Q: writes r8
+	w.Insert(alu(r(1), r(9), r(9)))      // seq 1, P: writes r1
+	w.Insert(branch())                   // seq 2, mispredicts
+	c := w.Insert(alu(r(3), r(1), r(1))) // seq 3, reads P twice
 	if c.pending != 2 || woken(w, 3) {
 		t.Fatalf("consumer of an unissued producer: pending %d, woken %v", c.pending, woken(w, 3))
 	}
 	w.Squash(3)
 	// The refetched seq 3 waits on Q only; P's issue must not touch it.
-	d := w.Insert(alu(3, r(4), r(8), isa.R0))
+	d := w.Insert(alu(r(4), r(8), isa.R0))
 	if d.pending != 1 {
 		t.Fatalf("refetched entry pending %d, want 1", d.pending)
 	}
@@ -103,7 +104,7 @@ func TestSquashReinsertStaleEdge(t *testing.T) {
 		t.Fatalf("Q's issue: woken %v readyAt %d, want true %d", woken(w, 3), d.ReadyAt, q.Completion)
 	}
 	// A consumer inserted after P issued folds P's completion in directly.
-	e := w.Insert(alu(4, r(5), r(1), isa.R0))
+	e := w.Insert(alu(r(5), r(1), isa.R0))
 	if e.pending != 0 || e.ReadyAt != p.Completion || !woken(w, 4) {
 		t.Fatalf("late consumer: pending %d readyAt %d woken %v", e.pending, e.ReadyAt, woken(w, 4))
 	}
@@ -122,7 +123,7 @@ func TestSmallRing(t *testing.T) {
 	now := uint64(0)
 	for seq := uint64(1000); seq < 1300; seq++ {
 		// A chain: each entry reads the previous one's destination.
-		w.Insert(alu(seq, r(1+int(seq%2)), r(1+int((seq+1)%2)), isa.R0))
+		w.Insert(alu(r(1+int(seq%2)), r(1+int((seq+1)%2)), isa.R0))
 		if w.Len() < 8 {
 			continue
 		}
@@ -146,7 +147,7 @@ func TestSmallRing(t *testing.T) {
 func TestSelectAcrossWrap(t *testing.T) {
 	w := New(64, 60)
 	for seq := uint64(60); seq < 70; seq++ {
-		w.Insert(alu(seq, r(int(seq-50)), isa.R0, isa.R0))
+		w.Insert(alu(r(int(seq-50)), isa.R0, isa.R0))
 	}
 	want := uint64(60)
 	for seq, ok := w.NextWoken(w.Base()); ok; seq, ok = w.NextWoken(seq + 1) {
@@ -171,10 +172,10 @@ func TestSelectAcrossWrap(t *testing.T) {
 func TestDuplicateProducer(t *testing.T) {
 	w := New(64, 0)
 	h := hier()
-	w.Insert(alu(0, r(1), r(9), r(9))) // P
-	w.Insert(&sim.DynInst{Seq: 1, Inst: &isa.Inst{Op: isa.OpCmpEq, QP: isa.P0,
-		Dst: isa.PredReg(1), Dst2: isa.PredReg(2), Src1: r(9), Src2: r(9)}}) // cmp
-	c := w.Insert(&sim.DynInst{Seq: 2, Inst: &isa.Inst{Op: isa.OpAdd, QP: isa.PredReg(1),
+	w.Insert(alu(r(1), r(9), r(9))) // seq 0, P
+	w.Insert(&sim.DynInst{Inst: &isa.Inst{Op: isa.OpCmpEq, QP: isa.P0,
+		Dst: isa.PredReg(1), Dst2: isa.PredReg(2), Src1: r(9), Src2: r(9)}}) // seq 1, cmp
+	c := w.Insert(&sim.DynInst{Inst: &isa.Inst{Op: isa.OpAdd, QP: isa.PredReg(1),
 		Dst: r(3), Src1: r(1), Src2: r(1)}})
 	if c.ndeps != 3 || c.pending != 3 {
 		t.Fatalf("consumer ndeps %d pending %d, want 3 and 3", c.ndeps, c.pending)
@@ -195,10 +196,10 @@ func TestDuplicateProducer(t *testing.T) {
 func TestStoreWaitingBefore(t *testing.T) {
 	w := New(64, 0)
 	h := hier()
-	w.Insert(alu(0, r(1), r(9), r(9))) // address producer, not yet issued
-	w.Insert(store(1, r(1), r(2)))     // waits on seq 0
-	w.Insert(load(2, r(3), r(4)))      // independent, woken
-	w.Insert(store(3, r(4), r(5)))     // younger store, woken
+	w.Insert(alu(r(1), r(9), r(9))) // seq 0, address producer, not yet issued
+	w.Insert(store(r(1), r(2)))     // seq 1, waits on seq 0
+	w.Insert(load(r(3), r(4)))      // seq 2, independent, woken
+	w.Insert(store(r(4), r(5)))     // seq 3, younger store, woken
 	if !woken(w, 2) {
 		t.Fatal("independent load not woken")
 	}
@@ -242,18 +243,17 @@ func TestRandomAgainstPolled(t *testing.T) {
 				w.Retire()
 			}
 			for n := rng.Intn(4); n > 0 && w.Len() < capacity; n-- {
-				seq := w.End()
 				var d *sim.DynInst
 				switch rng.Intn(6) {
 				case 0:
-					d = load(seq, reg(), reg())
+					d = load(reg(), reg())
 					d.MemAddr = uint32(rng.Intn(1 << 20))
 				case 1:
-					d = store(seq, reg(), reg())
+					d = store(reg(), reg())
 				case 2:
-					d = branch(seq)
+					d = branch()
 				default:
-					d = alu(seq, reg(), reg(), reg())
+					d = alu(reg(), reg(), reg())
 				}
 				w.Insert(d)
 			}

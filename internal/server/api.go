@@ -45,8 +45,9 @@ type CompileOverrides struct {
 // (see DESIGN.md §8), which is why sampling is part of the job identity.
 type SampleOverrides struct {
 	// Interval is the checkpoint spacing in retired instructions; it must
-	// be at least MinSampleInterval (checkpoints hold full memory images,
-	// so a tiny interval on a long workload is a memory bomb).
+	// be at least MinSampleInterval (every checkpoint holds warm cache tags
+	// and a memory image, so a tiny interval on a long workload is a memory
+	// bomb).
 	Interval uint64 `json:"interval"`
 	// Warmup is the detailed warm-up length before each interval, whose
 	// stats are discarded; 0 means interval/4 (filled during
@@ -59,9 +60,11 @@ type SampleOverrides struct {
 	Period uint64 `json:"period,omitempty"`
 }
 
-// MinSampleInterval floors sample.interval: each checkpoint carries a full
-// memory image and warm cache tags, and the interval count is what bounds
-// how many of those a single request can make the server materialize.
+// MinSampleInterval floors sample.interval: each checkpoint carries warm
+// cache tags and a memory image (a copy-on-write clone, so it holds its
+// own copy only of the pages written since the previous checkpoint), and
+// the interval count is what bounds how many of those a single request can
+// make the server materialize.
 const MinSampleInterval = 1024
 
 // RunRequest is the body of POST /v1/run.

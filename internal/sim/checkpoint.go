@@ -153,11 +153,11 @@ func (s *CheckpointSource) Wait() (n uint64, final *Snapshot, ffDur time.Duratio
 // Interval 0's checkpoint is the cold initial state, so its simulation is
 // exactly a monolithic run truncated at K.
 //
-// Memory snapshots are delta captures: the fast-forward image tracks dirty
-// pages, and consecutive checkpoints share the pages untouched between them,
-// so capture cost follows the store stream rather than the image size.
-// Checkpoint memories are read-only by contract (every consumer clones them
-// before executing).
+// Memory snapshots are copy-on-write clones of the fast-forward image:
+// consecutive checkpoints share the pages untouched between them, so capture
+// cost follows the store stream rather than the image size. Checkpoint
+// memories are read-only by contract (every consumer clones them before
+// executing).
 //
 // The producer polls ctx between event chunks and shuts down promptly on
 // cancellation; Wait then returns the context's error. The producer's CPU
@@ -197,8 +197,6 @@ func runFastForward(ctx context.Context, p *isa.Program, image *arch.Memory, cfg
 
 	sb := arch.NewSBProgram(p)
 	st := arch.NewState(image.Clone())
-	st.Mem.TrackDirty()
-	var prevSnap *arch.Memory
 
 	lineMask := ^uint32(spec.Hier.L1I.LineBytes - 1)
 	var lineAddr uint32
@@ -244,15 +242,13 @@ func runFastForward(ctx context.Context, p *isa.Program, image *arch.Memory, cfg
 					return fmt.Errorf("sim: sample interval %d yields more than %d intervals; use a larger interval", k, maxIntervals)
 				}
 				captured++
-				memSnap := st.Mem.CaptureDelta(prevSnap)
-				prevSnap = memSnap
 				pending = append(pending, &Checkpoint{
 					Seq:     st.Retired,
 					Measure: next * k,
 					End:     next*k + k,
 					PC:      st.PC,
 					RF:      st.RF.Clone(),
-					Mem:     memSnap,
+					Mem:     st.Mem.Clone(),
 					Caches:  hier.CaptureWarm(),
 					Pred:    pred.CaptureWarm(),
 				})

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"multipass/internal/arch"
 	"multipass/internal/isa"
@@ -23,7 +25,10 @@ loop:
 
 func TestStreamProducesDynamicSequence(t *testing.T) {
 	s := NewStream(testProgram(), arch.NewMemory(), 1000)
-	// 2 setup + 3 iterations of 4 + halt = 15 dynamic instructions.
+	// 2 setup + 3 iterations of 4 + halt = 15 dynamic instructions, in this
+	// static order.
+	want := []int32{0, 1, 2, 3, 4, 5, 2, 3, 4, 5, 2, 3, 4, 5, 6}
+	var got []int32
 	var last *DynInst
 	for seq := uint64(0); ; seq++ {
 		d, err := s.At(seq)
@@ -33,35 +38,48 @@ func TestStreamProducesDynamicSequence(t *testing.T) {
 		if d == nil {
 			break
 		}
-		if d.Seq != seq {
-			t.Fatalf("seq mismatch: %d vs %d", d.Seq, seq)
-		}
+		got = append(got, d.Index)
 		last = d
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("static indices %v, want %v", got, want)
 	}
 	if last == nil || !last.Halt {
 		t.Fatal("stream did not end with halt")
-	}
-	if last.Seq != 14 {
-		t.Errorf("dynamic length = %d, want 15", last.Seq+1)
 	}
 	if !s.Ended() || s.EndSeq() != 14 {
 		t.Errorf("EndSeq = %d", s.EndSeq())
 	}
 }
 
+// TestDynInstSize pins the dynamic instruction record at 24 bytes: a trace
+// holds one per retired instruction, so every byte here costs TraceLimit
+// bytes in a full-size trace.
+func TestDynInstSize(t *testing.T) {
+	if got := unsafe.Sizeof(DynInst{}); got != 24 {
+		t.Fatalf("sizeof(DynInst) = %d, want 24", got)
+	}
+}
+
 func TestStreamBranchMetadata(t *testing.T) {
 	s := NewStream(testProgram(), arch.NewMemory(), 1000)
-	// Seq 5 is the first (p1) br loop, taken twice then not taken.
+	// Seq 5 is the first (p1) br loop, taken twice then not taken: the
+	// record after a taken branch sits at its target.
 	d, err := s.At(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.IsBranch || !d.Taken || d.NextIdx != 2 {
-		t.Errorf("first branch: %+v", d)
+	next, err := s.At(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.IsBranch || !d.Taken || next.Index != d.Inst.Target || next.Index != 2 {
+		t.Errorf("first branch: %+v, next %+v", d, next)
 	}
 	d, _ = s.At(13)
-	if !d.IsBranch || d.Taken {
-		t.Errorf("last branch should be not taken: %+v", d)
+	next, _ = s.At(14)
+	if !d.IsBranch || d.Taken || next.Index != d.Index+1 {
+		t.Errorf("last branch should be not taken and fall through: %+v, next %+v", d, next)
 	}
 }
 

@@ -11,22 +11,24 @@ import (
 // stream, as produced by the oracle interpreter. Timing models use its
 // resolved address and branch outcome; the value-simulating models
 // (multipass, runahead, in-order) recompute results from their own state.
+//
+// A record carries no sequence number (every reader holds the sequence it
+// passed to Stream.At) and no successor index (the next record's Index, or
+// Inst.Target for a taken branch), which keeps it at 24 bytes.
 type DynInst struct {
-	Seq      uint64
-	Index    int // static instruction index
 	Inst     *isa.Inst
+	Index    int32 // static instruction index
+	MemAddr  uint32
 	Squashed bool // qualifying predicate was false
 	IsLoad   bool
 	IsStore  bool
-	MemAddr  uint32
 	IsBranch bool
 	Taken    bool
-	NextIdx  int
 	Halt     bool
 }
 
 // Addr returns the simulated fetch address of the instruction.
-func (d *DynInst) Addr() uint32 { return isa.InstAddr(d.Index) }
+func (d *DynInst) Addr() uint32 { return isa.InstAddr(int(d.Index)) }
 
 // Stream lazily interprets the program along its architectural path,
 // retaining a sliding window of dynamic instructions. Pipelines index it by
@@ -150,7 +152,7 @@ func (s *Stream) fill() error {
 	for i := range s.evs[:n] {
 		d := s.free[len(s.free)-1]
 		s.free = s.free[:len(s.free)-1]
-		decode(d, s.prog, &s.evs[i], head)
+		decode(d, s.prog, &s.evs[i])
 		s.win[head&mask] = d
 		head++
 	}

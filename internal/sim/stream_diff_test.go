@@ -33,7 +33,7 @@ func buildStepwiseRef(p *isa.Program, image *arch.Memory, limit uint64) *stepwis
 	for !st.Halted {
 		if ref.mid == nil && st.Retired >= n/2 && st.Retired > 0 {
 			prev := &ref.insts[st.Retired-1]
-			if in := &p.Insts[st.PC]; st.Retired >= min(n/2+1000, n-1) || (in.Op.IsBranch() && prev.Index == st.PC-1) {
+			if in := &p.Insts[st.PC]; st.Retired >= min(n/2+1000, n-1) || (in.Op.IsBranch() && int(prev.Index) == st.PC-1) {
 				ref.mid = &Checkpoint{Seq: st.Retired, PC: st.PC, RF: st.RF.Clone(), Mem: st.Mem.Clone()}
 			}
 		}
@@ -48,16 +48,14 @@ func buildStepwiseRef(p *isa.Program, image *arch.Memory, limit uint64) *stepwis
 			return ref
 		}
 		ref.insts = append(ref.insts, DynInst{
-			Seq:      uint64(len(ref.insts)),
-			Index:    idx,
 			Inst:     &p.Insts[idx],
+			Index:    int32(idx),
+			MemAddr:  info.MemAddr,
 			Squashed: info.Squashed,
 			IsLoad:   info.IsLoad,
 			IsStore:  info.IsStore,
-			MemAddr:  info.MemAddr,
 			IsBranch: info.IsBranch,
 			Taken:    info.Taken,
-			NextIdx:  info.NextPC,
 			Halt:     st.Halted,
 		})
 	}
@@ -83,7 +81,7 @@ func refLen(p *isa.Program, image *arch.Memory, limit uint64) uint64 {
 // reference's error at the same sequence.
 func checkStream(t *testing.T, label string, s *Stream, ref *stepwiseRef, from uint64, hold int) {
 	t.Helper()
-	var held []*DynInst
+	var held []*DynInst // the records at sequences seq+1-len(held) .. seq
 	for seq := from; seq < uint64(len(ref.insts)); seq++ {
 		d, err := s.At(seq)
 		if err != nil {
@@ -94,8 +92,8 @@ func checkStream(t *testing.T, label string, s *Stream, ref *stepwiseRef, from u
 		}
 		held = append(held, d)
 		if len(held) > hold {
-			if old := held[0]; *old != ref.insts[old.Seq] {
-				t.Fatalf("%s: held seq %d changed to %+v", label, ref.insts[old.Seq].Seq, old)
+			if old, oldSeq := held[0], seq-uint64(hold); *old != ref.insts[oldSeq] {
+				t.Fatalf("%s: held seq %d changed to %+v", label, oldSeq, old)
 			}
 			held = held[1:]
 			s.Release(seq + 1 - uint64(hold))

@@ -54,35 +54,28 @@ func BuildTrace(p *isa.Program, image *arch.Memory, limit uint64) (*Trace, error
 			return nil, err
 		}
 		for i := range evs[:k] {
-			decode(&tr.insts[seq+uint64(i)], p, &evs[i], seq+uint64(i))
+			decode(&tr.insts[seq+uint64(i)], p, &evs[i])
 		}
 	}
 	tr.final = st
 	return tr, nil
 }
 
-// decode expands one superblock event into the dynamic instruction at seq.
-// It is the only place a DynInst is built: pre-decoded traces and lazy
-// streams share it.
-func decode(d *DynInst, p *isa.Program, e *arch.ExecEvent, seq uint64) {
+// decode expands one superblock event into a dynamic instruction. It is
+// the only place a DynInst is built: pre-decoded traces and lazy streams
+// share it.
+func decode(d *DynInst, p *isa.Program, e *arch.ExecEvent) {
 	in := &p.Insts[e.Idx]
-	taken := e.Flags&arch.EvTaken != 0
-	next := int(e.Idx) + 1
-	if taken {
-		next = int(in.Target)
-	}
 	squashed := e.Flags&arch.EvSquash != 0
 	*d = DynInst{
-		Seq:      seq,
-		Index:    int(e.Idx),
 		Inst:     in,
+		Index:    e.Idx,
+		MemAddr:  e.MemAddr,
 		Squashed: squashed,
 		IsLoad:   e.Flags&arch.EvLoad != 0,
 		IsStore:  e.Flags&arch.EvStore != 0,
-		MemAddr:  e.MemAddr,
 		IsBranch: e.Flags&arch.EvBranch != 0,
-		Taken:    taken,
-		NextIdx:  next,
+		Taken:    e.Flags&arch.EvTaken != 0,
 		Halt:     !squashed && in.Op.Kind() == isa.KindHalt,
 	}
 }
