@@ -17,7 +17,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden stats files")
 
 // goldenModels x goldenKernels is the determinism matrix: every timing model
 // on every kernel of the suite, so cycle-exactness is pinned suite-wide.
-var goldenModels = []ModelName{MInorder, MRunahead, MMultipass, MOOO, MOOORealistc, MCGOoO}
+var goldenModels = []ModelName{MInorder, MRunahead, MMultipass, MNoRegroup, MNoRestart, MOOO, MOOORealistc, MCGOoO}
 
 var goldenKernels = allKernelNames()
 
