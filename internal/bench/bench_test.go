@@ -11,7 +11,7 @@ import (
 )
 
 func TestNewMachineAllModels(t *testing.T) {
-	for _, n := range []ModelName{MInorder, MMultipass, MNoRegroup, MNoRestart, MRunahead, MOOO, MOOORealistc} {
+	for _, n := range []ModelName{MInorder, MMultipass, MNoRegroup, MNoRestart, MRunahead, MOOO, MOOORealistc, MCGOoO} {
 		m, err := NewMachine(n, mem.BaseConfig())
 		if err != nil {
 			t.Errorf("%s: %v", n, err)

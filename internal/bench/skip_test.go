@@ -2,11 +2,8 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"testing"
-	"time"
 
-	"multipass/internal/compile"
 	"multipass/internal/mem"
 	"multipass/internal/sim"
 	"multipass/internal/workload"
@@ -49,37 +46,6 @@ func TestSkipOffEquivalence(t *testing.T) {
 					t.Errorf("snapshots differ between skip on and off: %v", sOn.Diff(sOff, 8))
 				}
 			})
-		}
-	}
-}
-
-// TestCancellationDuringSkip: a deadline expiring mid-run is honored promptly
-// with fast-forwarding enabled on a stall-dominated workload — the worst case
-// for cancellation latency, since most simulated time passes inside jumps. A
-// jump never crosses a context-poll boundary, so the wall-clock bound is the
-// same as the ticking path's.
-func TestCancellationDuringSkip(t *testing.T) {
-	w, _ := workload.ByName("mcf")
-	p, image, err := workload.Program(w, 8, compile.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, disable := range []bool{false, true} {
-		for _, name := range []string{"inorder", "multipass", "runahead", "ooo", "cgooo"} {
-			m, err := sim.NewMachine(name, sim.ModelOptions{Hier: mem.BaseConfig(), DisableSkip: disable})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-			start := time.Now()
-			_, err = m.Run(ctx, p, image)
-			cancel()
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Errorf("%s (DisableSkip=%v): err = %v, want context.DeadlineExceeded", name, disable, err)
-			}
-			if el := time.Since(start); el > 5*time.Second {
-				t.Errorf("%s (DisableSkip=%v): took %v to honor the deadline", name, disable, el)
-			}
 		}
 	}
 }

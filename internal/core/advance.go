@@ -31,7 +31,7 @@ func (r *run) readAdv(reg isa.Reg) advOp {
 		}
 		return advOp{valid: true, ready: r.advReadyAt[f], val: r.srf[f]}
 	}
-	if r.readyAt[f] > r.now {
+	if r.readyAt[f] > r.Now {
 		if r.prodKind[f] == sim.ProducerLoad {
 			return advOp{}
 		}
@@ -88,19 +88,19 @@ func (r *run) noteDeferral() bool {
 func (r *run) noteExecution() { r.deferRun = 0 }
 
 // advanceCycle runs one cycle of advance pre-execution (§3.1.2).
-func (r *run) advanceCycle() error {
-	r.st.Multipass.AdvanceCycles++
-	r.fe.SetLimit(r.next + uint64(r.cfg.IQSize))
+func (r *run) advanceCycle() (sim.Cycle, error) {
+	r.Stats.Multipass.AdvanceCycles++
+	r.Fetch.SetLimit(r.next + uint64(r.cfg.IQSize))
 
 	var use isa.FUUse
 	slots := 0
 	executed := 0
-	mp := &r.st.Multipass
+	mp := &r.Stats.Multipass
 	wasBlocked := r.passBlocked
 	iqFullIdle := false
-	// The main loop exits advance mode once now reaches stallUntil, so that
-	// is the latest cycle an idle advance cycle may replay to.
-	r.skip.Note(r.stallUntil)
+	// Step exits advance mode once now reaches stallUntil, so that is the
+	// latest cycle an idle advance cycle may replay to.
+	r.Skip.Note(r.stallUntil)
 
 	for slots < r.cfg.Caps.MaxIssue && !r.passBlocked {
 		if r.peek >= r.next+uint64(r.cfg.IQSize) {
@@ -115,9 +115,9 @@ func (r *run) advanceCycle() error {
 			// episode; idle until rally.
 			break
 		}
-		d, err := r.stream.At(r.peek)
+		d, err := r.Stream.At(r.peek)
 		if err != nil {
-			return err
+			return sim.Cycle{}, err
 		}
 		if d == nil {
 			r.passBlocked = true
@@ -129,16 +129,16 @@ func (r *run) advanceCycle() error {
 			r.passBlocked = true
 			break
 		}
-		fready, ok, err := r.fe.ReadyAt(r.peek)
+		fready, ok, err := r.Fetch.ReadyAt(r.peek)
 		if err != nil {
-			return err
+			return sim.Cycle{}, err
 		}
 		if !ok {
 			r.passBlocked = true
 			break
 		}
-		if fready > r.now {
-			r.skip.Note(fready)
+		if fready > r.Now {
+			r.Skip.Note(fready)
 			break // advance is fetch-limited this cycle
 		}
 
@@ -158,8 +158,8 @@ func (r *run) advanceCycle() error {
 				// Unresolvable branch: follow the predictor. If the
 				// prediction is actually wrong, everything fetched beyond
 				// is wrong-path for the rest of the episode.
-				if r.pred.Predict(d.Addr()) != d.Taken {
-					r.skip.MarkDirty() // blockAt changes without a slot used
+				if r.Pred.Predict(d.Addr()) != d.Taken {
+					r.Skip.MarkDirty() // blockAt changes without a slot used
 					r.blockAt = r.peek
 					break
 				}
@@ -179,8 +179,8 @@ func (r *run) advanceCycle() error {
 			}
 			continue
 		}
-		if qp.ready > r.now {
-			r.skip.Note(qp.ready)
+		if qp.ready > r.Now {
+			r.Skip.Note(qp.ready)
 			break // in-order wait for a short-latency producer
 		}
 		qpTrue := qp.val.Bool()
@@ -194,17 +194,17 @@ func (r *run) advanceCycle() error {
 				// The advance value chain disagrees with the true path
 				// (possible only through data speculation): wrong-path
 				// guard ends the episode's reach here.
-				r.skip.MarkDirty() // blockAt changes without a slot used
+				r.Skip.MarkDirty() // blockAt changes without a slot used
 				r.blockAt = r.peek
 				break
 			}
 			use.Add(in.Op)
-			correct := r.pred.Update(d.Addr(), taken)
+			correct := r.Pred.Update(d.Addr(), taken)
 			mp.EarlyResolved++
 			if !correct {
-				r.fe.Flush(r.peek+1, r.now+1+uint64(r.cfg.MispredictPenalty))
+				r.Fetch.Flush(r.peek+1, r.Now+1+uint64(r.cfg.MispredictPenalty))
 			}
-			r.rs.put(r.peek, rsEntry{readyCycle: r.now, branchDone: true, branchTaken: taken})
+			r.rs.put(r.peek, rsEntry{readyCycle: r.Now, branchDone: true, branchTaken: taken})
 			mp.AdvanceExecuted++
 			executed++
 			slots++
@@ -217,7 +217,7 @@ func (r *run) advanceCycle() error {
 
 		if !qpTrue {
 			// Squashed by a (valid) false predicate: preserve that outcome.
-			r.rs.put(r.peek, rsEntry{readyCycle: r.now, squashed: true})
+			r.rs.put(r.peek, rsEntry{readyCycle: r.Now, squashed: true})
 			slots++
 			r.bumpPeek()
 			continue
@@ -265,12 +265,12 @@ func (r *run) advanceCycle() error {
 			}
 			continue
 		}
-		if src1.ready > r.now || src2.ready > r.now {
-			if src1.ready > r.now {
-				r.skip.Note(src1.ready)
+		if src1.ready > r.Now || src2.ready > r.Now {
+			if src1.ready > r.Now {
+				r.Skip.Note(src1.ready)
 			}
-			if src2.ready > r.now {
-				r.skip.Note(src2.ready)
+			if src2.ready > r.Now {
+				r.Skip.Note(src2.ready)
 			}
 			break // in-order wait
 		}
@@ -286,7 +286,7 @@ func (r *run) advanceCycle() error {
 		// Computation: execute speculatively, preserve the result.
 		use.Add(in.Op)
 		v := isa.Eval(in.Op, src1.val, src2.val, in.Imm)
-		ready := r.now + uint64(in.Op.Latency())
+		ready := r.Now + uint64(in.Op.Latency())
 		r.writeAdv(in.Dst, v, ready)
 		if !in.Dst2.IsNone() {
 			r.writeAdv(in.Dst2, isa.BoolWord(!v.Bool()), ready)
@@ -298,24 +298,18 @@ func (r *run) advanceCycle() error {
 		r.bumpPeek()
 	}
 
+	r.idleIQFull = iqFullIdle
 	if executed > 0 {
-		r.st.Cat[sim.StallExecution]++
-		r.lastWork = r.now
-	} else {
-		// Cycles with only merges or deferrals are charged to the latency
-		// that triggered advance mode (always a load).
-		r.st.Cat[sim.StallLoad]++
-		if slots == 0 && r.passBlocked == wasBlocked {
-			// No slot consumed and the blocked flag did not flip: every
-			// mutation path above passes through slots++, sets passBlocked,
-			// or marked the skip state dirty (blockAt, restartPass), so the
-			// cycle replays identically until the earliest noted deadline
-			// (at the latest, the episode exit at stallUntil).
-			r.idle, r.idleCat = true, sim.StallLoad
-			r.idleIQFull = iqFullIdle
-		}
+		return sim.Cycle{Cat: sim.StallExecution, Progress: true}, nil
 	}
-	return nil
+	// Cycles with only merges or deferrals are charged to the latency that
+	// triggered advance mode (always a load). With no slot consumed and the
+	// blocked flag unflipped the cycle is Idle: every mutation path above
+	// passes through slots++, sets passBlocked, or marked the skip state
+	// dirty (blockAt, restartPass), so it replays identically until the
+	// earliest noted deadline (at the latest, the episode exit at
+	// stallUntil).
+	return sim.Cycle{Cat: sim.StallLoad, Idle: slots == 0 && r.passBlocked == wasBlocked}, nil
 }
 
 // advanceMerge re-applies a previous pass's RS entry to the SRF.
@@ -323,15 +317,15 @@ func (r *run) advanceMerge(in *isa.Inst, e *rsEntry) {
 	switch {
 	case e.squashed || e.branchDone:
 		// Nothing to propagate.
-	case e.readyCycle > r.now:
+	case e.readyCycle > r.Now:
 		// The preserved result (typically a missing load) has not arrived
 		// yet: consumers stay deferred this pass.
 		r.suppressDests(in)
 	default:
 		if e.hasVal {
 			ready := e.readyCycle
-			if ready < r.now {
-				ready = r.now
+			if ready < r.Now {
+				ready = r.Now
 			}
 			r.writeAdv(in.Dst, e.val, ready)
 			if !in.Dst2.IsNone() {
@@ -349,7 +343,7 @@ func (r *run) advanceMerge(in *isa.Inst, e *rsEntry) {
 // advanceStore processes a store in advance mode (§3.6). Returns false when
 // the cycle's group must end.
 func (r *run) advanceStore(in *isa.Inst, d *sim.DynInst, use *isa.FUUse, slots, executed *int) bool {
-	mp := &r.st.Multipass
+	mp := &r.Stats.Multipass
 	addrOp := r.readAdv(in.Src1)
 	if !addrOp.valid {
 		// Unknown address: every later advance load is data-speculative.
@@ -360,8 +354,8 @@ func (r *run) advanceStore(in *isa.Inst, d *sim.DynInst, use *isa.FUUse, slots, 
 		r.bumpPeek()
 		return true
 	}
-	if addrOp.ready > r.now {
-		r.skip.Note(addrOp.ready)
+	if addrOp.ready > r.Now {
+		r.Skip.Note(addrOp.ready)
 		return false
 	}
 	addr := addrOp.val.Uint32() + uint32(in.Imm)
@@ -385,8 +379,8 @@ func (r *run) advanceStore(in *isa.Inst, d *sim.DynInst, use *isa.FUUse, slots, 
 		r.bumpPeek()
 		return true
 	}
-	if dataOp.ready > r.now {
-		r.skip.Note(dataOp.ready)
+	if dataOp.ready > r.Now {
+		r.Skip.Note(dataOp.ready)
 		return false
 	}
 	if !use.Fits(in.Op, &r.cfg.Caps) {
@@ -394,7 +388,7 @@ func (r *run) advanceStore(in *isa.Inst, d *sim.DynInst, use *isa.FUUse, slots, 
 	}
 	use.Add(in.Op)
 	r.asc.insert(addr, in.Op.MemBytes(), dataOp.val, false)
-	r.rs.put(r.peek, rsEntry{readyCycle: r.now, val: dataOp.val, isStore: true, addr: addr, hasAddr: true})
+	r.rs.put(r.peek, rsEntry{readyCycle: r.Now, val: dataOp.val, isStore: true, addr: addr, hasAddr: true})
 	mp.AdvanceExecuted++
 	*executed++
 	*slots++
@@ -406,7 +400,7 @@ func (r *run) advanceStore(in *isa.Inst, d *sim.DynInst, use *isa.FUUse, slots, 
 // access (the prefetching effect), the §3.5 WAW rule for L1 misses, and
 // S-bit marking for data-speculative cases.
 func (r *run) advanceLoad(in *isa.Inst, use *isa.FUUse, slots, executed *int, base isa.Word) {
-	mp := &r.st.Multipass
+	mp := &r.Stats.Multipass
 	addr := base.Uint32() + uint32(in.Imm)
 	size := in.Op.MemBytes()
 
@@ -420,7 +414,7 @@ func (r *run) advanceLoad(in *isa.Inst, use *isa.FUUse, slots, executed *int, ba
 		return
 	case ascHit:
 		use.Add(in.Op)
-		ready := r.now + uint64(in.Op.Latency())
+		ready := r.Now + uint64(in.Op.Latency())
 		r.writeAdv(in.Dst, fwd, ready)
 		r.rs.put(r.peek, rsEntry{readyCycle: ready, val: fwd, hasVal: true, addr: addr, hasAddr: true})
 		mp.ASCHits++
@@ -433,14 +427,14 @@ func (r *run) advanceLoad(in *isa.Inst, use *isa.FUUse, slots, executed *int, ba
 
 	spec := r.storeDeferred || r.asc.setReplaced(addr)
 	use.Add(in.Op)
-	ready := r.hier.AccessData(addr, r.now, false, true)
+	ready := r.Hier.AccessData(addr, r.Now, false, true)
 	val := r.ownMem.LoadWord(in.Op, addr)
 	r.rs.put(r.peek, rsEntry{readyCycle: ready, val: val, hasVal: true, spec: spec, addr: addr, hasAddr: true})
 	if spec {
 		mp.SpecLoads++
 	}
 	l1Lat := uint64(r.cfg.Hier.L1D.Latency)
-	if ready <= r.now+l1Lat {
+	if ready <= r.Now+l1Lat {
 		r.writeAdv(in.Dst, val, ready)
 	} else {
 		// §3.5: advance loads that miss L1 do not write back to the SRF;

@@ -13,52 +13,50 @@ import (
 // results where possible (§3.2 regrouping), re-performing data-speculative
 // loads through the SMAQ with value verification (§3.6), executing the rest
 // normally, and entering advance mode on a stall-on-use of a load value.
-func (r *run) commitCycle() error {
+func (r *run) commitCycle() (sim.Cycle, error) {
 	if r.mode == modeRally {
-		r.st.Multipass.RallyCycles++
+		r.Stats.Multipass.RallyCycles++
 	} else {
-		r.st.Multipass.ArchCycles++
+		r.Stats.Multipass.ArchCycles++
 	}
-	r.fe.SetLimit(r.next + uint64(r.cfg.IQSize))
+	r.Fetch.SetLimit(r.next + uint64(r.cfg.IQSize))
 
 	var use isa.FUUse
 	var groupWrites sim.RegSet
 	progress := 0
 	blocker := sim.StallFrontEnd
-	now := r.now
-	wcut := r.wm.Cut(r.measure, r.end)
+	now := r.Now
+	wcut := r.Cut()
 
 group:
 	for progress < r.cfg.Caps.MaxIssue && !r.halted {
 		if r.next >= wcut {
 			// Window boundary: no group spans the measurement mark or the
 			// interval end, and no advance episode may be entered past it.
-			// Unreachable with progress == 0 (the outer loop and Mark run
-			// first), so no idle cycle arises here.
 			break
 		}
-		d, err := r.stream.At(r.next)
+		d, err := r.Stream.At(r.next)
 		if err != nil {
-			return err
+			return sim.Cycle{}, err
 		}
 		if d == nil {
-			return fmt.Errorf("core: stream ended before halt committed")
+			return sim.Cycle{}, fmt.Errorf("core: stream ended before halt committed")
 		}
-		fready, ok, err := r.fe.ReadyAt(r.next)
+		fready, ok, err := r.Fetch.ReadyAt(r.next)
 		if err != nil {
-			return err
+			return sim.Cycle{}, err
 		}
 		if !ok {
-			return fmt.Errorf("core: fetch ended before halt committed")
+			return sim.Cycle{}, fmt.Errorf("core: fetch ended before halt committed")
 		}
 		if fready > now {
 			blocker = sim.StallFrontEnd
-			r.skip.Note(fready)
+			r.Skip.Note(fready)
 			break
 		}
 		in := d.Inst
 		if r.ownPC != int(d.Index) {
-			return fmt.Errorf("core: machine PC %d diverged from stream index %d at seq %d", r.ownPC, d.Index, r.next)
+			return sim.Cycle{}, fmt.Errorf("core: machine PC %d diverged from stream index %d at seq %d", r.ownPC, d.Index, r.next)
 		}
 		e := r.rs.get(r.next)
 
@@ -67,7 +65,7 @@ group:
 		if e != nil && e.spec && in.Op.IsLoad() {
 			done, err := r.commitSpecLoad(d, e, &use, &groupWrites, &progress, &blocker, now)
 			if err != nil {
-				return err
+				return sim.Cycle{}, err
 			}
 			if !done {
 				break
@@ -79,7 +77,7 @@ group:
 		if e != nil {
 			done, redirect, err := r.commitMerge(d, e, &use, &groupWrites, &progress, &blocker, now)
 			if err != nil {
-				return err
+				return sim.Cycle{}, err
 			}
 			if !done {
 				break
@@ -103,7 +101,7 @@ group:
 				break
 			}
 			blocker = r.prodKind[qf].StallFor()
-			r.skip.Note(r.readyAt[qf])
+			r.Skip.Note(r.readyAt[qf])
 			break
 		}
 		qpTrue := r.ownRF.Read(in.QP).Bool()
@@ -123,7 +121,7 @@ group:
 						break group
 					}
 					blocker = r.prodKind[f].StallFor()
-					r.skip.Note(r.readyAt[f])
+					r.Skip.Note(r.readyAt[f])
 					break group
 				}
 			}
@@ -136,7 +134,7 @@ group:
 				}
 				if f := reg.Flat(); r.readyAt[f] > now+lat {
 					blocker = sim.StallOther
-					r.skip.Note(r.readyAt[f] - lat)
+					r.Skip.Note(r.readyAt[f] - lat)
 					break group
 				}
 			}
@@ -149,7 +147,7 @@ group:
 
 		redirect, err := r.commitExec(d, qpTrue, &groupWrites, now)
 		if err != nil {
-			return err
+			return sim.Cycle{}, err
 		}
 		progress++
 		if redirect {
@@ -157,22 +155,18 @@ group:
 		}
 	}
 
-	if progress > 0 {
-		r.st.Cat[sim.StallExecution]++
-		r.lastWork = now
-	} else {
-		r.st.Cat[blocker]++
-		// A progress-free cycle mutated nothing (advance entry marks the
-		// skip state dirty, so Jump refuses after enterAdvance). The rally
-		// to arch flip below is harmless: repeats replay identically in the
-		// new mode and the main loop credits mode counters post-flip.
-		r.idle, r.idleCat = true, blocker
-	}
 	if r.mode == modeRally && r.next >= r.maxPeek {
 		r.mode = modeArch
 		r.traceArch()
 	}
-	return nil
+	if progress > 0 {
+		return sim.Cycle{Cat: sim.StallExecution, Progress: true, Done: r.halted}, nil
+	}
+	// A progress-free cycle mutated nothing (advance entry marks the skip
+	// state dirty, so Jump refuses after enterAdvance). The rally to arch
+	// flip above is harmless: repeats replay identically in the new mode,
+	// and Credit counts them in the mode after the flip.
+	return sim.Cycle{Cat: blocker, Idle: true}, nil
 }
 
 // commitMerge merges one preserved RS entry into architectural state.
@@ -223,7 +217,7 @@ func (r *run) commitMerge(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWrite
 		}
 		if e.isStore {
 			r.ownMem.StoreWord(in.Op, e.addr, e.val)
-			r.hier.AccessData(e.addr, now, true, false)
+			r.Hier.AccessData(e.addr, now, true, false)
 		}
 	}
 	kind := sim.ProducerOther
@@ -239,9 +233,9 @@ func (r *run) commitMerge(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWrite
 	if !e.squashed {
 		r.setReady(in, readyC, kind, groupWrites, r.cfg.DisableRegroup)
 	}
-	r.st.Multipass.Merged++
+	r.Stats.Multipass.Merged++
 	r.traceMerge(r.next, e)
-	r.st.Retired++
+	r.Stats.Retired++
 	*progress++
 
 	if e.branchDone && e.branchTaken {
@@ -268,7 +262,7 @@ func (r *run) commitSpecLoad(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWr
 	}
 	if qf := in.QP.Flat(); r.readyAt[qf] > now {
 		*blocker = r.prodKind[qf].StallFor()
-		r.skip.Note(r.readyAt[qf])
+		r.Skip.Note(r.readyAt[qf])
 		return false, nil
 	}
 	if !r.ownRF.Read(in.QP).Bool() {
@@ -285,11 +279,11 @@ func (r *run) commitSpecLoad(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWr
 	}
 	use.Add(in.Op)
 
-	ready := r.hier.AccessData(e.addr, now, false, false)
+	ready := r.Hier.AccessData(e.addr, now, false, false)
 	fresh := r.ownMem.LoadWord(in.Op, e.addr)
 	r.commitWrite(in, fresh)
 	r.setReady(in, ready, sim.ProducerLoad, groupWrites, true)
-	r.st.Retired++
+	r.Stats.Retired++
 	*progress++
 	r.ownPC = int(d.Index) + 1
 	r.rs.drop(r.next)
@@ -297,11 +291,11 @@ func (r *run) commitSpecLoad(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWr
 
 	if fresh != e.val {
 		// Value misspeculation: flush everything younger (§3.6).
-		r.st.Multipass.SpecFlushes++
+		r.Stats.Multipass.SpecFlushes++
 		flushed := r.rs.flushFrom(r.next)
 		r.traceFlush(seq, flushed)
-		r.st.Multipass.Reexecuted += uint64(flushed)
-		r.fe.Flush(r.next, now+1+uint64(r.cfg.MispredictPenalty))
+		r.Stats.Multipass.Reexecuted += uint64(flushed)
+		r.Fetch.Flush(r.next, now+1+uint64(r.cfg.MispredictPenalty))
 		if r.maxPeek > r.next {
 			r.maxPeek = r.next
 		}
@@ -314,7 +308,7 @@ func (r *run) commitSpecLoad(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWr
 // Returns redirect=true when issue must stop at a control transfer.
 func (r *run) commitExec(d *sim.DynInst, qpTrue bool, groupWrites *sim.RegSet, now uint64) (bool, error) {
 	in, seq := d.Inst, r.next
-	r.st.Retired++
+	r.Stats.Retired++
 	r.rs.drop(r.next)
 	r.next++
 	r.ownPC = int(d.Index) + 1
@@ -327,9 +321,9 @@ func (r *run) commitExec(d *sim.DynInst, qpTrue bool, groupWrites *sim.RegSet, n
 		if taken {
 			r.ownPC = int(in.Target)
 		}
-		correct := r.pred.Update(d.Addr(), taken)
+		correct := r.Pred.Update(d.Addr(), taken)
 		if !correct {
-			r.fe.Flush(r.next, now+1+uint64(r.cfg.MispredictPenalty))
+			r.Fetch.Flush(r.next, now+1+uint64(r.cfg.MispredictPenalty))
 		}
 		return taken || !correct, nil
 	}
@@ -349,7 +343,7 @@ func (r *run) commitExec(d *sim.DynInst, qpTrue bool, groupWrites *sim.RegSet, n
 		if addr != d.MemAddr {
 			return false, fmt.Errorf("core: load address diverged from oracle at seq %d", seq)
 		}
-		ready := r.hier.AccessData(addr, now, false, false)
+		ready := r.Hier.AccessData(addr, now, false, false)
 		r.commitWrite(in, r.ownMem.LoadWord(in.Op, addr))
 		r.setReady(in, ready, sim.ProducerLoad, groupWrites, true)
 	case isa.KindStore:
@@ -358,7 +352,7 @@ func (r *run) commitExec(d *sim.DynInst, qpTrue bool, groupWrites *sim.RegSet, n
 			return false, fmt.Errorf("core: store address diverged from oracle at seq %d", seq)
 		}
 		r.ownMem.StoreWord(in.Op, addr, r.ownRF.Read(in.Src2))
-		r.hier.AccessData(addr, now, true, false)
+		r.Hier.AccessData(addr, now, true, false)
 	default:
 		v := isa.Eval(in.Op, r.ownRF.Read(in.Src1), r.ownRF.Read(in.Src2), in.Imm)
 		r.commitWrite(in, v)

@@ -8,13 +8,9 @@ func init() {
 	factory := func(noRegroup, noRestart bool) sim.Factory {
 		return func(opts sim.ModelOptions) (sim.Machine, error) {
 			cfg := DefaultConfig()
-			cfg.Hier = opts.Hier
-			if opts.MaxInsts != 0 {
-				cfg.MaxInsts = opts.MaxInsts
-			}
+			opts.Overlay(&cfg.Config)
 			cfg.DisableRegroup = noRegroup
 			cfg.DisableRestart = noRestart
-			cfg.DisableSkip = opts.DisableSkip
 			return New(cfg)
 		}
 	}

@@ -43,7 +43,7 @@ func (r *run) traceAdvanceEnter() {
 	if !r.cfg.Trace.enabled() {
 		return
 	}
-	r.cfg.Trace.event(r.now, "advance-enter trigger=%d until=%d", r.trigger, r.stallUntil)
+	r.cfg.Trace.event(r.Now, "advance-enter trigger=%d until=%d", r.trigger, r.stallUntil)
 }
 
 // traceRestart records an advance restart (compiler- or hardware-driven).
@@ -51,7 +51,7 @@ func (r *run) traceRestart(kind string) {
 	if !r.cfg.Trace.enabled() {
 		return
 	}
-	r.cfg.Trace.event(r.now, "restart(%s) pass=%d peek->%d", kind, r.st.Multipass.AdvancePasses, r.trigger)
+	r.cfg.Trace.event(r.Now, "restart(%s) pass=%d peek->%d", kind, r.Stats.Multipass.AdvancePasses, r.trigger)
 }
 
 // traceRally records an advance->rally transition.
@@ -59,7 +59,7 @@ func (r *run) traceRally() {
 	if !r.cfg.Trace.enabled() {
 		return
 	}
-	r.cfg.Trace.event(r.now, "rally next=%d maxPeek=%d rs=%d", r.next, r.maxPeek, r.rs.len())
+	r.cfg.Trace.event(r.Now, "rally next=%d maxPeek=%d rs=%d", r.next, r.maxPeek, r.rs.len())
 }
 
 // traceArch records a rally->architectural transition.
@@ -67,7 +67,7 @@ func (r *run) traceArch() {
 	if !r.cfg.Trace.enabled() {
 		return
 	}
-	r.cfg.Trace.event(r.now, "architectural next=%d", r.next)
+	r.cfg.Trace.event(r.Now, "architectural next=%d", r.next)
 }
 
 // traceFlush records a §3.6 value-misspeculation flush.
@@ -75,13 +75,13 @@ func (r *run) traceFlush(seq uint64, discarded int) {
 	if !r.cfg.Trace.enabled() {
 		return
 	}
-	r.cfg.Trace.event(r.now, "spec-flush seq=%d discarded=%d", seq, discarded)
+	r.cfg.Trace.event(r.Now, "spec-flush seq=%d discarded=%d", seq, discarded)
 }
 
 // traceMerge is sampled (it would otherwise dominate the stream): only
 // merges of loads and stores are reported.
 func (r *run) traceMerge(seq uint64, e *rsEntry) {
 	if (e.hasAddr || e.isStore) && r.cfg.Trace.enabled() {
-		r.cfg.Trace.event(r.now, "merge seq=%d addr=%#x spec=%v", seq, e.addr, e.spec)
+		r.cfg.Trace.event(r.Now, "merge seq=%d addr=%#x spec=%v", seq, e.addr, e.spec)
 	}
 }

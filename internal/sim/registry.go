@@ -23,6 +23,16 @@ type ModelOptions struct {
 	DisableSkip bool
 }
 
+// Overlay applies the options to a model's default configuration: the
+// hierarchy, the instruction limit when one is set, and the skip switch.
+func (o ModelOptions) Overlay(c *Config) {
+	c.Hier = o.Hier
+	if o.MaxInsts != 0 {
+		c.MaxInsts = o.MaxInsts
+	}
+	c.DisableSkip = o.DisableSkip
+}
+
 // Factory constructs a machine from the shared options.
 type Factory func(opts ModelOptions) (Machine, error)
 

@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"multipass/internal/arch"
-	"multipass/internal/bpred"
 	"multipass/internal/isa"
-	"multipass/internal/mem"
 )
 
 // IntervalRunner is implemented by timing models that can simulate one
@@ -27,49 +25,6 @@ type IntervalRunner interface {
 	CheckpointSpec() CheckpointSpec
 	RunInterval(ctx context.Context, p *isa.Program, image *arch.Memory, ck *Checkpoint) (*Result, error)
 }
-
-// WarmMark tracks the warm-up/measurement boundary inside a cycle loop. The
-// loop calls Mark at the top of every cycle with its next-to-retire sequence;
-// the first cycle at or past the measure boundary snapshots the running stats
-// plus the live predictor and hierarchy counters (the Stats.Branch/Memory
-// fields are only assigned at the end of a run, so the baseline must read the
-// devices directly). Discard then subtracts that baseline from the final
-// stats, leaving only the measured region. For a monolithic run (measure 0)
-// the baseline is captured on cycle zero with all counters zero, so Discard
-// is an exact no-op and the generalized loops stay byte-identical to the
-// originals.
-type WarmMark struct {
-	marked bool
-	warm   Stats
-}
-
-// Mark captures the warm-up baseline once seq reaches the measure boundary.
-func (m *WarmMark) Mark(seq, measure uint64, st *Stats, pred *bpred.Gshare, hier *mem.Hierarchy) {
-	if m.marked || seq < measure {
-		return
-	}
-	m.marked = true
-	m.warm = *st
-	m.warm.Branch = pred.Stats()
-	m.warm.Memory = hier.Stats()
-}
-
-// Marked reports whether the baseline has been captured.
-func (m *WarmMark) Marked() bool { return m.marked }
-
-// Cut returns the sequence before which the issue stage must stop: the
-// measure boundary until the baseline is captured (so no issue group spans
-// it and the baseline lands exactly on the boundary), the end bound after.
-func (m *WarmMark) Cut(measure, end uint64) uint64 {
-	if !m.marked {
-		return measure
-	}
-	return end
-}
-
-// Discard subtracts the warm-up baseline from the final stats. Call after
-// st.Branch/st.Memory have been assigned.
-func (m *WarmMark) Discard(st *Stats) { st.Sub(&m.warm) }
 
 // RunSampled simulates p in parallel across checkpointed intervals and
 // stitches the per-interval stats into one result. The stitched result has

@@ -46,27 +46,6 @@ type Machine interface {
 	Run(ctx context.Context, p *isa.Program, image *arch.Memory) (*Result, error)
 }
 
-// ctxPollMask throttles context polling in cycle loops: the poll fires when
-// now&ctxPollMask == 0, every 1024 simulated cycles — frequent enough that a
-// canceled run stops well within one progress window, rare enough to cost
-// nothing against the work of a simulated cycle.
-const ctxPollMask = 1<<10 - 1
-
-// PollContext returns ctx's error once per poll interval of simulated
-// cycles (and always on cycle 0, so a pre-canceled context stops a run
-// before any work). Cycle loops call it with their current cycle counter.
-func PollContext(ctx context.Context, now uint64) error {
-	if now&ctxPollMask != 0 {
-		return nil
-	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	default:
-		return nil
-	}
-}
-
 // RegSet is a dense bit set over all architectural registers, used for
 // intra-group dependence checks.
 type RegSet [(isa.NumFlatRegs + 63) / 64]uint64
