@@ -1,7 +1,8 @@
 // Package sim holds the simulation kernel shared by every timing model: the
 // machine configuration (paper Table 2), the statistics structure with the
 // four stall categories of Figure 6, the lazy oracle instruction stream that
-// pipelines fetch from, and the front-end fetch unit.
+// pipelines fetch from, the front-end fetch unit, and the one cycle loop
+// (Model and its driver) every model's Pipeline runs on.
 //
 // # Modeling approach
 //

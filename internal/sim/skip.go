@@ -5,32 +5,31 @@ import "multipass/internal/mem"
 // SkipState is the per-cycle idleness tracker behind event-driven stall
 // skipping. A cycle loop that simulates one cycle at a time spends most of
 // its wall time ticking through fully-stalled cycles while a memory fill is
-// in flight; SkipState lets a loop prove that a cycle it just simulated will
-// repeat unchanged and jump its clock straight to the first cycle at which
-// anything can differ, bulk-crediting the skipped cycles into the same stall
-// counters the per-cycle path would have produced.
+// in flight; SkipState lets the driver prove that a cycle the pipeline just
+// simulated will repeat unchanged and jump its clock straight to the first
+// cycle at which anything can differ, bulk-crediting the skipped cycles into
+// the same stall counters the per-cycle path would have produced.
 //
 // The proof obligation (see DESIGN.md "Idle-cycle fast-forwarding") is:
 //
 //  1. The cycle mutated no model state — no instruction issued, merged,
 //     retired, pre-executed or was deferred; no mode/episode transition; no
-//     predictor update, fetch flush, or hierarchy access. Every loop marks
-//     such events with MarkDirty (directly or via its per-cycle work
-//     counters), and a dirty cycle never skips.
+//     predictor update, fetch flush, or hierarchy access. A pipeline reports
+//     such a cycle as not Idle (see Cycle) or marks it with MarkDirty, and a
+//     dirty cycle never skips.
 //  2. Every comparison of a future deadline against the current cycle that
-//     the loop evaluated on its path — operand-ready times, fetch-ready
+//     the pipeline evaluated on its path — operand-ready times, fetch-ready
 //     times, scoreboard entries, pipeline-restore cycles, episode ends —
 //     was reported with Note. The earliest noted deadline is then the first
-//     cycle at which the loop could take a different path: deadlines already
-//     in the past stay in the past, and deadlines noted in the future stay
-//     in the future until the earliest of them arrives.
+//     cycle at which the pipeline could take a different path: deadlines
+//     already in the past stay in the past, and deadlines noted in the
+//     future stay in the future until the earliest of them arrives.
 //
 // Under those two conditions every cycle in [now, wake) replays identically,
 // so charging them in bulk is byte-identical to ticking through them.
 //
-// Jump additionally clamps the target so that the enclosing loop's
-// PollContext cadence is preserved (a jump never crosses a context-poll
-// boundary) and, defensively, so that a jump never crosses the memory
+// Jump additionally clamps the target so that the driver's context-poll
+// cadence is preserved (a jump never crosses a context-poll boundary) and, defensively, so that a jump never crosses the memory
 // hierarchy's next fill completion (Hierarchy.NextEvent): landing on an
 // intermediate completion merely re-proves idleness and skips again, so the
 // clamp cannot change the accounting, only bound how far a single jump
@@ -62,12 +61,12 @@ func (s *SkipState) MarkDirty() { s.dirty = true }
 func (s *SkipState) Dirty() bool { return s.dirty }
 
 // Jump returns how many cycles beyond now may be fast-forwarded, where now is
-// the first not-yet-simulated cycle (the loop has already charged the cycle
-// it just simulated and advanced its clock). It returns 0 when the cycle was
-// dirty, when no deadline was noted, or when the earliest deadline is not in
-// the future. The returned delta never crosses a context-poll boundary
-// (PollContext fires on exactly the cycles it would have without skipping)
-// and never crosses h's next fill completion.
+// the first not-yet-simulated cycle (the driver has already charged the
+// cycle just simulated and advanced its clock). It returns 0 when the cycle
+// was dirty, when no deadline was noted, or when the earliest deadline is not
+// in the future. The returned delta never crosses a context-poll boundary
+// (the context poll fires on exactly the cycles it would have without
+// skipping) and never crosses h's next fill completion.
 func (s *SkipState) Jump(h *mem.Hierarchy, now uint64) uint64 {
 	if s.dirty || s.wake <= now {
 		return 0

@@ -51,7 +51,8 @@ func TestSkipJumpRefusals(t *testing.T) {
 }
 
 // TestSkipJumpPollBoundary: a jump never crosses a context-poll boundary, so
-// PollContext fires on exactly the cycles it would have without skipping.
+// the driver polls its context on exactly the cycles it would have without
+// skipping.
 func TestSkipJumpPollBoundary(t *testing.T) {
 	const poll = uint64(ctxPollMask) + 1 // 1024
 	var s SkipState
