@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -139,12 +140,43 @@ func DecodeProgramBundle(data []byte) (*isa.Program, *arch.Memory, error) {
 	return p, image, nil
 }
 
-// fetchProgram retrieves and verifies the bundle ref points at. The sum
-// check makes the fetch self-validating: a stale or corrupted bundle is
-// rejected and the caller falls back to a local build. The fetch runs
-// under the triggering request's context, so a dead requester never keeps
-// a fetch to a dead coordinator hanging.
+// Bundle-fetch retries. A refused or reset connection usually means the
+// source coordinator is going down, and the connection carrying the
+// requester's own job from it is severed a moment later; retrying such
+// transport errors for up to ~150 ms lets buildProgram see the requester
+// die instead of compiling on a dead job's behalf. HTTP status, checksum
+// and timeout failures are final.
+const (
+	bundleFetchRetries    = 4
+	bundleFetchRetryDelay = 10 * time.Millisecond
+)
+
+// fetchProgram retrieves and verifies the bundle ref points at, retrying
+// transport errors while ctx is live (see bundleFetchRetries).
 func (s *Server) fetchProgram(ctx context.Context, ref *ProgramRef) (*isa.Program, *arch.Memory, error) {
+	delay := bundleFetchRetryDelay
+	for try := 0; ; try++ {
+		p, image, err := s.fetchProgramOnce(ctx, ref)
+		var ue *url.Error
+		if err == nil || try == bundleFetchRetries || ctx.Err() != nil ||
+			!errors.As(err, &ue) || ue.Timeout() {
+			return p, image, err
+		}
+		select {
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
+		case <-time.After(delay):
+		}
+		delay *= 2
+	}
+}
+
+// fetchProgramOnce makes one bundle fetch. The sum check makes the fetch
+// self-validating: a stale or corrupted bundle is rejected and the caller
+// falls back to a local build. The fetch runs under the triggering
+// request's context, so a dead requester never keeps a fetch to a dead
+// coordinator hanging.
+func (s *Server) fetchProgramOnce(ctx context.Context, ref *ProgramRef) (*isa.Program, *arch.Memory, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		ref.Source+"/v1/fabric/program?key="+url.QueryEscape(ref.Key), nil)
 	if err != nil {
