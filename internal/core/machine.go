@@ -18,7 +18,9 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m, err := sim.NewModel(cfg.name(), cfg.Config, true, func(sr sim.Run) sim.Pipeline {
+	// Fetch and advance pre-execution run at most IQSize past the commit
+	// head.
+	m, err := sim.NewModel(cfg.name(), cfg.Config, true, cfg.IQSize, func(sr sim.Run) sim.Pipeline {
 		return &run{
 			Run:     sr,
 			cfg:     &cfg,

@@ -101,7 +101,8 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m, err := sim.NewModel("cgooo", cfg.Config, false, func(r sim.Run) sim.Pipeline {
+	// Fetch runs at most the block-window capacity past the head.
+	m, err := sim.NewModel("cgooo", cfg.Config, false, capacity(&cfg), func(r sim.Run) sim.Pipeline {
 		return newPipeline(r, &cfg)
 	})
 	if err != nil {
@@ -143,16 +144,22 @@ type pipeline struct {
 	winFullIdle bool
 }
 
-// newPipeline sizes a run's structures. Fetch may run capacity — the whole
-// block-window set, NumWindows x BlockSize rounded up to a power of two —
-// ahead of the head. The window's own ring can be larger (it has at least 64
-// slots), so the fetch limit uses capacity, never the ring size. Blocks live
-// in their own power-of-two ring indexed by block id.
-func newPipeline(r sim.Run, cfg *Config) *pipeline {
-	capacity := 1
-	for capacity < cfg.NumWindows*cfg.BlockSize {
-		capacity <<= 1
+// capacity is how far fetch may run ahead of the head: the whole
+// block-window set, NumWindows x BlockSize rounded up to a power of two.
+func capacity(cfg *Config) int {
+	c := 1
+	for c < cfg.NumWindows*cfg.BlockSize {
+		c <<= 1
 	}
+	return c
+}
+
+// newPipeline sizes a run's structures. The window's own ring can be larger
+// than capacity (it has at least 64 slots), so the fetch limit uses
+// capacity, never the ring size. Blocks live in their own power-of-two ring
+// indexed by block id.
+func newPipeline(r sim.Run, cfg *Config) *pipeline {
+	capacity := capacity(cfg)
 	blkCap := 1
 	for blkCap < cfg.NumWindows {
 		blkCap <<= 1

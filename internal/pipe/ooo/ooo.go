@@ -108,7 +108,8 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Decentralized {
 		name = "ooo-realistic"
 	}
-	m, err := sim.NewModel(name, cfg.Config, false, func(r sim.Run) sim.Pipeline {
+	// Fetch runs at most ROBSize past the ROB head.
+	m, err := sim.NewModel(name, cfg.Config, false, cfg.ROBSize, func(r sim.Run) sim.Pipeline {
 		return &pipeline{Run: r, cfg: &cfg, w: window.New(cfg.ROBSize, r.Start), barrier: noSeq}
 	})
 	if err != nil {

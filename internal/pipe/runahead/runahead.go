@@ -53,7 +53,9 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.ExitPenalty < 0 {
 		return nil, fmt.Errorf("runahead: negative exit penalty")
 	}
-	m, err := sim.NewModel("runahead", cfg.Config, true, func(r sim.Run) sim.Pipeline {
+	// Fetch runs at most BufferSize past the head, an episode at most
+	// runaheadLookahead.
+	m, err := sim.NewModel("runahead", cfg.Config, true, max(cfg.BufferSize, runaheadLookahead), func(r sim.Run) sim.Pipeline {
 		return &runState{Run: r, cfg: &cfg, next: r.Start}
 	})
 	if err != nil {

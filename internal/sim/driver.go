@@ -82,40 +82,51 @@ func (r *Run) shared() *Run { return r }
 
 // Model is the machine shell every timing model embeds. It implements
 // Machine, IntervalRunner and TraceUser once: a model supplies its name, its
-// configuration and a constructor for the per-run pipeline. A Model holds
+// configuration, how far past its head it reads the stream, and a
+// constructor for the per-run pipeline. A Model holds
 // only read-only state, so concurrent runs on one value are safe.
 type Model struct {
 	name string
 	cfg  Config
 	// values: the pipeline executes on its own architectural state
 	// (Run.Own) instead of reporting the oracle's.
-	values   bool
-	pipeline func(Run) Pipeline
-	tr       *Trace
+	values bool
+	// lookahead is CheckpointSpec.Lookahead.
+	lookahead uint64
+	pipeline  func(Run) Pipeline
+	tr        *Trace
 }
 
 // NewModel returns the shell of a model. With values set, each run clones
 // the image or checkpoint state into Run.Own for the pipeline to execute on,
 // and the result reports that state; otherwise it reports the oracle's final
-// state. NewModel rejects an invalid hierarchy; the caller has validated the
-// rest of cfg.
-func NewModel(name string, cfg Config, values bool, pipeline func(Run) Pipeline) (Model, error) {
+// state. lookahead bounds how far past its head the pipeline reads the
+// stream (CheckpointSpec.Lookahead). NewModel rejects an invalid hierarchy;
+// the caller has validated the rest of cfg.
+func NewModel(name string, cfg Config, values bool, lookahead int, pipeline func(Run) Pipeline) (Model, error) {
 	if _, err := mem.NewHierarchy(cfg.Hier); err != nil {
 		return Model{}, err
 	}
-	return Model{name: name, cfg: cfg, values: values, pipeline: pipeline}, nil
+	return Model{name: name, cfg: cfg, values: values, lookahead: uint64(lookahead), pipeline: pipeline}, nil
 }
 
 // Name implements Machine.
 func (m *Model) Name() string { return m.name }
 
-// UseTrace implements TraceUser: subsequent runs of the traced program read
-// the pre-decoded stream instead of re-interpreting it.
+// UseTrace implements TraceUser: subsequent monolithic runs of the traced
+// program read the pre-decoded stream instead of re-interpreting it.
+// Intervals read their checkpoint's recording either way.
 func (m *Model) UseTrace(tr *Trace) { m.tr = tr }
 
 // CheckpointSpec implements IntervalRunner.
 func (m *Model) CheckpointSpec() CheckpointSpec {
-	return CheckpointSpec{Hier: m.cfg.Hier, PredictorEntries: m.cfg.PredictorEntries, MaxInsts: m.cfg.MaxInsts}
+	return CheckpointSpec{
+		Hier:             m.cfg.Hier,
+		PredictorEntries: m.cfg.PredictorEntries,
+		MaxInsts:         m.cfg.MaxInsts,
+		Lookahead:        m.lookahead,
+		Values:           m.values,
+	}
 }
 
 // Run implements Machine.
@@ -135,7 +146,8 @@ func (m *Model) RunInterval(ctx context.Context, p *isa.Program, image *arch.Mem
 
 // newRun builds a run's devices, cold or restored from ck's warm state, its
 // stream and front end positioned at the interval start, and for a
-// value-simulating model its own copy of the architectural state.
+// value-simulating model its own copy of the architectural state. An
+// interval's stream replays the checkpoint's recording.
 func (m *Model) newRun(p *isa.Program, image *arch.Memory, ck *Checkpoint) (Run, error) {
 	cfg := &m.cfg
 	r := Run{
@@ -157,8 +169,11 @@ func (m *Model) newRun(p *isa.Program, image *arch.Memory, ck *Checkpoint) (Run,
 		if err := r.Pred.RestoreWarm(ck.Pred); err != nil {
 			return Run{}, err
 		}
-		r.Stream = StreamFrom(p, ck, cfg.MaxInsts, m.tr)
+		r.Stream = StreamFrom(p, ck)
 		if m.values {
+			if ck.RF == nil || ck.Mem == nil {
+				return Run{}, fmt.Errorf("%s: checkpoint at seq %d carries no architectural state", m.name, ck.Seq)
+			}
 			r.Own = &arch.State{RF: ck.RF.Clone(), Mem: ck.Mem.Clone(), PC: ck.PC, Retired: ck.Seq}
 		}
 	}
@@ -227,12 +242,12 @@ func drive(ctx context.Context, name string, pl Pipeline) (*Result, error) {
 	res := &Result{Stats: r.Stats}
 	if r.Own != nil {
 		res.RF, res.Mem = r.Own.RF, r.Own.Mem
-	} else {
+	} else if fin := r.Stream.FinalState(); fin != nil {
 		// The oracle-driven models simulate no values, so their outcome is
 		// the oracle's final state; wrong paths are never simulated, so
-		// nothing can leak. Only the interval that retires the halt reports
-		// a meaningful state, and that is the one the stitcher uses.
-		fin := r.Stream.FinalState()
+		// nothing can leak. Only an interval whose recording reaches the
+		// halt has one, and the interval that retires the halt, which the
+		// stitcher uses, is among them.
 		res.RF, res.Mem = fin.RF, fin.Mem
 	}
 	return res, nil

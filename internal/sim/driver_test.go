@@ -40,7 +40,7 @@ func runFake(t *testing.T, ctx context.Context, disableSkip bool, ck *Checkpoint
 	cfg := Default()
 	cfg.DisableSkip = disableSkip
 	var f *fakePipe
-	m, err := NewModel("fake", cfg, false, func(r Run) Pipeline {
+	m, err := NewModel("fake", cfg, false, cfg.BufferSize, func(r Run) Pipeline {
 		f = &fakePipe{Run: r, head: r.Start, step: step}
 		return f
 	})

@@ -262,8 +262,8 @@ func TestStreamAccessors(t *testing.T) {
 			break
 		}
 	}
-	if s.Retired() == 0 {
-		t.Error("Retired() = 0 after full interpretation")
+	if !s.Ended() || s.EndSeq() == 0 {
+		t.Errorf("Ended %v EndSeq %d after full interpretation", s.Ended(), s.EndSeq())
 	}
 	fin := s.FinalState()
 	if fin == nil || !fin.Halted {

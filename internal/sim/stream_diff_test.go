@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"multipass/internal/arch"
 	"multipass/internal/compile"
 	"multipass/internal/isa"
+	"multipass/internal/mem"
 	"multipass/internal/workload"
 	"multipass/internal/xcheck/progen"
 )
@@ -20,10 +22,10 @@ type stepwiseRef struct {
 	insts []DynInst
 	final *arch.State
 	err   error // the lazy stream's error at seq len(insts), if any
-	// mid is a checkpoint at sequence mid.Seq, taken on a branch whose
-	// static predecessor retired just before it where one exists, so a
-	// stream started there may enter between the halves of a fused pair.
-	mid *Checkpoint
+	// mid is a sequence past the middle, on a branch whose static
+	// predecessor retired just before it where one exists, so a stream
+	// started there may enter between the halves of a fused pair.
+	mid uint64
 }
 
 func buildStepwiseRef(p *isa.Program, image *arch.Memory, limit uint64) *stepwiseRef {
@@ -31,10 +33,10 @@ func buildStepwiseRef(p *isa.Program, image *arch.Memory, limit uint64) *stepwis
 	st := arch.NewState(image.Clone())
 	ref := &stepwiseRef{final: st}
 	for !st.Halted {
-		if ref.mid == nil && st.Retired >= n/2 && st.Retired > 0 {
+		if ref.mid == 0 && st.Retired >= n/2 && st.Retired > 0 {
 			prev := &ref.insts[st.Retired-1]
 			if in := &p.Insts[st.PC]; st.Retired >= min(n/2+1000, n-1) || (in.Op.IsBranch() && int(prev.Index) == st.PC-1) {
-				ref.mid = &Checkpoint{Seq: st.Retired, PC: st.PC, RF: st.RF.Clone(), Mem: st.Mem.Clone()}
+				ref.mid = st.Retired
 			}
 		}
 		if st.Retired >= limit {
@@ -141,8 +143,8 @@ end:
 
 // TestStreamDifferential pins every superblock-decoded stream to the
 // step-wise reference, field by field: the pre-decoded trace, the lazy
-// stream from reset, and the lazy stream from a mid-stream checkpoint, over
-// the 12 kernels, 50 generated programs, and squashSrc.
+// stream from reset, and the stream replaying a mid-stream checkpoint's
+// recording, over the 12 kernels, 50 generated programs, and squashSrc.
 func TestStreamDifferential(t *testing.T) {
 	type prog struct {
 		name  string
@@ -183,12 +185,37 @@ func TestStreamDifferential(t *testing.T) {
 		checkFinal(t, pg.name+" trace", tr.FinalState(), ref.final)
 
 		checkStream(t, pg.name+" NewStream", NewStream(pg.p, pg.image.Clone(), math.MaxUint64), ref, 0, hold)
-		if ref.mid == nil {
-			t.Fatalf("%s: no mid-stream checkpoint", pg.name)
+		if ref.mid == 0 {
+			t.Fatalf("%s: no mid-stream sequence", pg.name)
 		}
-		checkStream(t, fmt.Sprintf("%s StreamFrom(%d)", pg.name, ref.mid.Seq),
-			StreamFrom(pg.p, ref.mid, math.MaxUint64, nil), ref, ref.mid.Seq, hold)
+		ck := midCheckpoint(t, pg.p, pg.image, ref.mid)
+		checkStream(t, fmt.Sprintf("%s StreamFrom(%d)", pg.name, ck.Seq), StreamFrom(pg.p, ck), ref, ck.Seq, hold)
 	}
+}
+
+// midCheckpoint returns the fast-forward's checkpoint at sequence mid: the
+// start of interval 1 with K = mid and no warm-up. Its recording runs past
+// 2*mid >= N-1, so it reaches the halt.
+func midCheckpoint(t *testing.T, p *isa.Program, image *arch.Memory, mid uint64) *Checkpoint {
+	t.Helper()
+	spec := CheckpointSpec{Hier: mem.BaseConfig(), PredictorEntries: 1024, Lookahead: 1}
+	src, err := StreamCheckpoints(context.Background(), p, image, SampleConfig{Interval: mid}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck *Checkpoint
+	for c := range src.C {
+		if c.Seq == mid {
+			ck = c
+		}
+	}
+	if _, _, _, err := src.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if ck == nil {
+		t.Fatalf("no checkpoint at seq %d", mid)
+	}
+	return ck
 }
 
 // TestBuildTraceCap pins the limit boundary: a stream of exactly N
