@@ -1,8 +1,9 @@
 // Package sim holds the simulation kernel shared by every timing model: the
 // machine configuration (paper Table 2), the statistics structure with the
-// four stall categories of Figure 6, the lazy oracle instruction stream that
-// pipelines fetch from, the front-end fetch unit, and the one cycle loop
-// (Model and its driver) every model's Pipeline runs on.
+// four stall categories of Figure 6, the oracle instruction stream that
+// pipelines fetch from, the front-end fetch unit, the sampling checkpoints,
+// and the one cycle loop (Model and its driver) every model's Pipeline runs
+// on.
 //
 // # Modeling approach
 //
@@ -19,10 +20,11 @@
 //
 // The multipass and runahead models additionally simulate their speculative
 // values for real (speculative register file, advance store cache, result
-// store), and the multipass and in-order models maintain their own
-// architectural register file and memory, so the cross-model equivalence
-// tests verify functional correctness of the speculation machinery rather
-// than assuming it.
+// store), and maintain their own architectural register file and memory,
+// so the cross-model equivalence tests verify functional correctness of the
+// speculation machinery rather than assuming it. The in-order and
+// out-of-order models speculate on no values and report the stream's final
+// state.
 package sim
 
 import (

@@ -62,8 +62,8 @@ func BuildTrace(p *isa.Program, image *arch.Memory, limit uint64) (*Trace, error
 }
 
 // decode expands one superblock event into a dynamic instruction. It is
-// the only place a DynInst is built: pre-decoded traces and lazy streams
-// share it.
+// the only place a DynInst is built: pre-decoded traces, lazy streams and
+// interval recordings share it.
 func decode(d *DynInst, p *isa.Program, e *arch.ExecEvent) {
 	in := &p.Insts[e.Idx]
 	squashed := e.Flags&arch.EvSquash != 0
