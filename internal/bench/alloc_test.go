@@ -14,8 +14,8 @@ import (
 // per page they write), the cache hierarchy — with headroom; the cycle loops
 // themselves must be allocation-free in steady state, which the allocs/cycle
 // bound below enforces directly. Measured values at the time of writing:
-// inorder 30, runahead 2006, multipass 2006, ooo 39, ooo-realistic 36,
-// cgooo 38 allocs/run.
+// inorder 20, runahead 1996, multipass 1996, ooo 29, ooo-realistic 26,
+// cgooo 28 allocs/run.
 var allocBudgets = []struct {
 	model  ModelName
 	budget float64 // max allocations per run

@@ -37,6 +37,14 @@ func (c LevelConfig) validate() error {
 	if c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("mem: %s: line size %d not a power of two", c.Name, c.LineBytes)
 	}
+	// A way word keeps the line's state in the two low address bits, and a
+	// recency word holds 16 four-bit way indices.
+	if c.LineBytes < 4 {
+		return fmt.Errorf("mem: %s: line size %d below 4 bytes", c.Name, c.LineBytes)
+	}
+	if c.Assoc > 16 {
+		return fmt.Errorf("mem: %s: associativity %d above 16 ways", c.Name, c.Assoc)
+	}
 	if c.SizeBytes%(c.LineBytes*c.Assoc) != 0 {
 		return fmt.Errorf("mem: %s: size %d not divisible by assoc*line", c.Name, c.SizeBytes)
 	}
@@ -89,111 +97,125 @@ func (s CacheStats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-type line struct {
-	tag   uint32
-	valid bool
-	dirty bool
-	use   uint64 // LRU timestamp
-}
+// Way words. A level stores each way as one uint32: the line's address with
+// its offset bits cleared, and the line's state in the two low bits, which a
+// line of at least 4 bytes leaves free. An invalid way is 0.
+const (
+	wayValid = 1
+	wayDirty = 2
+)
 
-// cache is one set-associative level. Its lines are one flat array, set
-// after set: set s occupies lines[s*assoc : (s+1)*assoc].
+// cache is one set-associative level with true LRU replacement. ways holds
+// one word per way, set after set: set s occupies ways[s*assoc : (s+1)*assoc].
+// order holds one recency word per set: the set's way indices as 4-bit
+// nibbles, the most recently used in the low nibble and the least recently
+// used in nibble assoc-1. A fresh set lists way 0 as least recent, then way
+// 1, and so on, so its ways fill in index order; a way that was never filled
+// is never touched and stays behind every filled one.
 type cache struct {
 	cfg       LevelConfig
 	lineShift uint
+	lruShift  uint // 4*(assoc-1): the least recently used nibble
 	setMask   uint32
-	lines     []line
-	useClock  uint64
+	offMask   uint32
+	ways      []uint32
+	order     []uint64
 	stats     CacheStats
 }
 
-func newCache(cfg LevelConfig) (*cache, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+// newCache builds a level from a validated configuration.
+func newCache(cfg LevelConfig) cache {
+	c := cache{
+		cfg:      cfg,
+		lruShift: uint(4 * (cfg.Assoc - 1)),
+		setMask:  uint32(cfg.Sets() - 1),
+		offMask:  uint32(cfg.LineBytes - 1),
+		ways:     make([]uint32, cfg.Lines()),
+		order:    make([]uint64, cfg.Sets()),
 	}
-	c := &cache{cfg: cfg, lines: make([]line, cfg.Lines())}
 	for 1<<c.lineShift < cfg.LineBytes {
 		c.lineShift++
 	}
-	c.setMask = uint32(cfg.Sets() - 1)
-	return c, nil
+	var fresh uint64
+	for w := 0; w < cfg.Assoc; w++ {
+		fresh = fresh<<4 | uint64(w)
+	}
+	for i := range c.order {
+		c.order[i] = fresh
+	}
+	return c
 }
 
-// set returns the ways of addr's set.
-func (c *cache) set(addr uint32) []line {
+// set returns the index of addr's set and its ways.
+func (c *cache) set(addr uint32) (uint32, []uint32) {
+	s := (addr >> c.lineShift) & c.setMask
 	ways := c.cfg.Assoc
-	i := int((addr>>c.lineShift)&c.setMask) * ways
-	return c.lines[i : i+ways : i+ways]
+	i := int(s) * ways
+	return s, c.ways[i : i+ways : i+ways]
 }
 
-func (c *cache) tag(addr uint32) uint32 {
-	return addr >> c.lineShift
+// present reports whether addr's line is resident, changing no state.
+func (c *cache) present(addr uint32) bool {
+	key := addr&^c.offMask | wayValid
+	_, ways := c.set(addr)
+	for _, w := range ways {
+		if w&^wayDirty == key {
+			return true
+		}
+	}
+	return false
 }
 
-// lookup probes for addr's line, updating LRU on hit (and the dirty bit on
-// write hits). advance marks speculative accesses for the statistics.
-func (c *cache) lookup(addr uint32, advance bool) bool {
-	return c.lookupW(addr, false, advance)
-}
-
-func (c *cache) lookupW(addr uint32, write, advance bool) bool {
-	c.useClock++
+// access looks up addr's line and reports whether it hit. A hit makes the
+// line the most recently used and, on a write, marks it dirty. A miss fills
+// the least recently used way with the line, dirty on a write
+// (write-allocate), and counts a writeback when the evicted line was dirty.
+// advance marks speculative accesses for the statistics.
+//
+// The walk goes from the most to the least recently used way, so a hit on
+// the most recent way returns without rewriting the recency word.
+func (c *cache) access(addr uint32, write, advance bool) bool {
 	c.stats.Accesses++
 	if advance {
 		c.stats.AdvanceAccesses++
 	}
-	tag := c.tag(addr)
-	set := c.set(addr)
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.tag == tag {
-			l.use = c.useClock
+	key := addr&^c.offMask | wayValid
+	s, ways := c.set(addr)
+	order := c.order[s]
+	o := order
+	for p := uint(0); p < uint(len(ways)); p++ {
+		w := o & 0xf
+		if ways[w]&^wayDirty == key {
 			if write {
-				l.dirty = true
+				ways[w] |= wayDirty
+			}
+			if p > 0 {
+				c.order[s] = promote(order, p, w)
 			}
 			return true
 		}
+		o >>= 4
 	}
 	c.stats.Misses++
 	if advance {
 		c.stats.AdvanceMisses++
 	}
+	victim := order >> c.lruShift & 0xf
+	if ways[victim]&wayDirty != 0 {
+		c.stats.Writebacks++
+	}
+	if write {
+		key |= wayDirty
+	}
+	ways[victim] = key
+	c.order[s] = promote(order, uint(len(ways))-1, victim)
 	return false
 }
 
-// install fills addr's line, evicting the LRU way if needed; write marks
-// the incoming line dirty (write-allocate). Evicting a dirty line counts a
-// writeback.
-func (c *cache) install(addr uint32, write bool) {
-	c.useClock++
-	tag := c.tag(addr)
-	set := c.set(addr)
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].use = c.useClock
-			if write {
-				set[i].dirty = true
-			}
-			return
-		}
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].use < set[victim].use {
-			victim = i
-		}
-	}
-	if set[victim].valid && set[victim].dirty {
-		c.stats.Writebacks++
-	}
-	set[victim] = line{tag: tag, valid: true, dirty: write, use: c.useClock}
-}
-
-// reset invalidates all lines and clears statistics.
-func (c *cache) reset() {
-	clear(c.lines)
-	c.useClock = 0
-	c.stats = CacheStats{}
+// promote moves way w from position p of a recency word to the most recent
+// position, shifting the ways that were more recent one position older.
+func promote(order uint64, p uint, w uint64) uint64 {
+	newer := uint64(1)<<(4*p) - 1     // positions 0 .. p-1
+	through := uint64(1)<<(4*p+4) - 1 // positions 0 .. p; all ones when p is 15
+	return order&^through | (order&newer)<<4 | w
 }

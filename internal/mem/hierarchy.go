@@ -93,14 +93,14 @@ type mshr struct {
 // Hierarchy is the timing model of the full cache system.
 type Hierarchy struct {
 	cfg HierConfig
-	l1i *cache
-	l1d *cache
-	l2  *cache
-	l3  *cache
+	l1i cache
+	l1d cache
+	l2  cache
+	l3  cache
 	// inflight is the MSHR file: exactly MaxMisses slots (Table 2: 16),
 	// implementing both occupancy and miss merging. The architectural bound
 	// makes a linear scan cheaper than any map, and the structure is
-	// allocation-free across runs and Resets.
+	// allocation-free.
 	inflight []mshr
 	// instFill is the most recent instruction-side fill. The front end has
 	// its own port (AccessInst consumes no data MSHR) and fetches lines
@@ -111,30 +111,36 @@ type Hierarchy struct {
 	mshrStalls uint64
 }
 
-// NewHierarchy builds a hierarchy; it panics only on nil receivers, never on
-// config errors, which are returned.
-func NewHierarchy(cfg HierConfig) (*Hierarchy, error) {
+// Validate reports the first problem that makes cfg unusable: a level whose
+// geometry is invalid, a main memory latency below one cycle, or no MSHRs.
+func (cfg HierConfig) Validate() error {
 	if cfg.MemLatency < 1 {
-		return nil, fmt.Errorf("mem: main memory latency %d < 1", cfg.MemLatency)
+		return fmt.Errorf("mem: main memory latency %d < 1", cfg.MemLatency)
 	}
 	if cfg.MaxMisses < 1 {
-		return nil, fmt.Errorf("mem: MaxMisses %d < 1", cfg.MaxMisses)
+		return fmt.Errorf("mem: MaxMisses %d < 1", cfg.MaxMisses)
 	}
-	h := &Hierarchy{cfg: cfg, inflight: make([]mshr, cfg.MaxMisses)}
-	var err error
-	if h.l1i, err = newCache(cfg.L1I); err != nil {
+	for _, l := range [...]LevelConfig{cfg.L1I, cfg.L1D, cfg.L2, cfg.L3} {
+		if err := l.validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// NewHierarchy builds a hierarchy, or returns Validate's error.
+func NewHierarchy(cfg HierConfig) (*Hierarchy, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if h.l1d, err = newCache(cfg.L1D); err != nil {
-		return nil, err
-	}
-	if h.l2, err = newCache(cfg.L2); err != nil {
-		return nil, err
-	}
-	if h.l3, err = newCache(cfg.L3); err != nil {
-		return nil, err
-	}
-	return h, nil
+	return &Hierarchy{
+		cfg:      cfg,
+		l1i:      newCache(cfg.L1I),
+		l1d:      newCache(cfg.L1D),
+		l2:       newCache(cfg.L2),
+		l3:       newCache(cfg.L3),
+		inflight: make([]mshr, cfg.MaxMisses),
+	}, nil
 }
 
 // MustNewHierarchy is NewHierarchy for known-good configurations.
@@ -239,12 +245,11 @@ func (h *Hierarchy) AccessData(addr uint32, now uint64, write, advance bool) uin
 	// later ones share the completion.
 	if ready := h.fillFor(h.mergeAddr(addr), now); ready != 0 {
 		// Keep LRU state warm.
-		h.l1d.lookupW(addr, write, advance)
-		h.l1d.install(addr, write)
+		h.l1d.access(addr, write, advance)
 		return ready
 	}
 
-	if h.l1d.lookupW(addr, write, advance) {
+	if h.l1d.access(addr, write, advance) {
 		return now + uint64(h.cfg.L1D.Latency)
 	}
 
@@ -256,18 +261,16 @@ func (h *Hierarchy) AccessData(addr uint32, now uint64, write, advance bool) uin
 		issueAt = h.earliestCompletion(issueAt)
 	}
 
+	// Each level below fills the line as it misses.
 	var ready uint64
 	switch {
-	case h.l2.lookup(addr, advance):
+	case h.l2.access(addr, false, advance):
 		ready = issueAt + uint64(h.cfg.L2.Latency)
-	case h.l3.lookup(addr, advance):
+	case h.l3.access(addr, false, advance):
 		ready = issueAt + uint64(h.cfg.L3.Latency)
 	default:
-		h.l3.install(addr, false)
 		ready = issueAt + uint64(h.cfg.MemLatency)
 	}
-	h.l2.install(addr, false)
-	h.l1d.install(addr, write)
 	h.startFill(h.mergeAddr(addr), issueAt, ready)
 	return ready
 }
@@ -277,21 +280,12 @@ func (h *Hierarchy) AccessData(addr uint32, now uint64, write, advance bool) uin
 // multipass WAW rule of paper §3.5 (advance loads that miss L1 skip the SRF
 // write-back).
 func (h *Hierarchy) Probe(addr uint32) int {
-	present := func(c *cache) bool {
-		tag := c.tag(addr)
-		for _, l := range c.set(addr) {
-			if l.valid && l.tag == tag {
-				return true
-			}
-		}
-		return false
-	}
 	switch {
-	case present(h.l1d):
+	case h.l1d.present(addr):
 		return 1
-	case present(h.l2):
+	case h.l2.present(addr):
 		return 2
-	case present(h.l3):
+	case h.l3.present(addr):
 		return 3
 	}
 	return 4
@@ -306,21 +300,18 @@ func (h *Hierarchy) InFlight(addr uint32, now uint64) bool {
 // fetches do not consume data MSHRs (the front end has its own port) but do
 // share L2/L3 content.
 func (h *Hierarchy) AccessInst(addr uint32, now uint64) uint64 {
-	if h.l1i.lookup(addr, false) {
+	if h.l1i.access(addr, false, false) {
 		return now + uint64(h.cfg.L1I.Latency)
 	}
 	var ready uint64
 	switch {
-	case h.l2.lookup(addr, false):
+	case h.l2.access(addr, false, false):
 		ready = now + uint64(h.cfg.L2.Latency)
-	case h.l3.lookup(addr, false):
+	case h.l3.access(addr, false, false):
 		ready = now + uint64(h.cfg.L3.Latency)
 	default:
-		h.l3.install(addr, false)
 		ready = now + uint64(h.cfg.MemLatency)
 	}
-	h.l2.install(addr, false)
-	h.l1i.install(addr, false)
 	h.instFill = mshr{addr: addr, ready: ready}
 	return ready
 }
@@ -361,19 +352,4 @@ func (h *Hierarchy) Stats() HierStats {
 		L3:         h.l3.stats,
 		MSHRStalls: h.mshrStalls,
 	}
-}
-
-// Reset invalidates all caches and clears counters and in-flight state. The
-// MSHR file is cleared in place, not reallocated, so a hierarchy can be
-// reused across runs without allocating.
-func (h *Hierarchy) Reset() {
-	h.l1i.reset()
-	h.l1d.reset()
-	h.l2.reset()
-	h.l3.reset()
-	for i := range h.inflight {
-		h.inflight[i] = mshr{}
-	}
-	h.instFill = mshr{}
-	h.mshrStalls = 0
 }

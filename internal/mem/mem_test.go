@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -9,16 +10,26 @@ func TestLevelConfigValidate(t *testing.T) {
 	if err := good.validate(); err != nil {
 		t.Errorf("base L1D invalid: %v", err)
 	}
+	// The widest and finest geometry the packed way and recency words hold.
+	if err := edgeConfig().L1D.validate(); err != nil {
+		t.Errorf("16-way level of 4-byte lines invalid: %v", err)
+	}
 	bad := []LevelConfig{
 		{Name: "x", SizeBytes: 0, Assoc: 4, LineBytes: 64, Latency: 1},
-		{Name: "x", SizeBytes: 16384, Assoc: 4, LineBytes: 60, Latency: 1}, // non-pow2 line
-		{Name: "x", SizeBytes: 16384, Assoc: 5, LineBytes: 64, Latency: 1}, // non-pow2 sets
-		{Name: "x", SizeBytes: 16384, Assoc: 4, LineBytes: 64, Latency: 0}, // zero latency
-		{Name: "x", SizeBytes: 10000, Assoc: 4, LineBytes: 64, Latency: 1}, // indivisible
+		{Name: "x", SizeBytes: 16384, Assoc: 4, LineBytes: 60, Latency: 1},    // non-pow2 line
+		{Name: "x", SizeBytes: 16384, Assoc: 5, LineBytes: 64, Latency: 1},    // non-pow2 sets
+		{Name: "x", SizeBytes: 16384, Assoc: 4, LineBytes: 64, Latency: 0},    // zero latency
+		{Name: "x", SizeBytes: 10000, Assoc: 4, LineBytes: 64, Latency: 1},    // indivisible
+		{Name: "wide", SizeBytes: 8192, Assoc: 32, LineBytes: 64, Latency: 1}, // more than 16 ways
+		{Name: "tiny", SizeBytes: 16384, Assoc: 4, LineBytes: 2, Latency: 1},  // no room for the state bits
+		{Name: "byte", SizeBytes: 16384, Assoc: 16, LineBytes: 1, Latency: 1}, // no room for the state bits
 	}
 	for i, c := range bad {
-		if err := c.validate(); err == nil {
+		err := c.validate()
+		if err == nil {
 			t.Errorf("bad config %d accepted", i)
+		} else if !strings.Contains(err.Error(), c.Name+":") {
+			t.Errorf("bad config %d: error %q does not name level %q", i, err, c.Name)
 		}
 	}
 	if got := good.Lines(); got != 256 {
@@ -41,7 +52,7 @@ func TestHierarchyLatencies(t *testing.T) {
 		t.Errorf("warm L1 access ready at %d, want 301", ready)
 	}
 	// Line still in flight: merged with outstanding fill.
-	h.Reset()
+	h = MustNewHierarchy(BaseConfig())
 	first := h.AccessData(0x2000, 0, false, false)
 	if first != 145 {
 		t.Fatalf("first = %d", first)
@@ -83,6 +94,43 @@ func TestMSHRLimit(t *testing.T) {
 	}
 	if h.Stats().MSHRStalls == 0 {
 		t.Error("MSHR stall not counted")
+	}
+}
+
+// TestMSHRStallKeepsFillVisible pins the MSHR file's answer where the
+// file of fixed slots and the map of in-flight lines it replaced disagree
+// (DESIGN.md §6). A miss that waits for an MSHR computes its issue cycle
+// from completions in the future; the map purged every fill completing by
+// then, so an access to such a line before its fill lands no longer merged
+// and hit L1 at once, and a new miss found an MSHR free. The slot file
+// keeps every fill visible until it completes, except the one slot the
+// waiting miss claims.
+func TestMSHRStallKeepsFillVisible(t *testing.T) {
+	cfg := BaseConfig()
+	cfg.MaxMisses = 2
+	h := MustNewHierarchy(cfg)
+	if r1, r2 := h.AccessData(0x10000, 0, false, false), h.AccessData(0x20000, 0, false, false); r1 != 145 || r2 != 145 {
+		t.Fatalf("two cold misses ready at %d, %d, want 145", r1, r2)
+	}
+	if r3 := h.AccessData(0x30000, 10, false, false); r3 != 145+145 {
+		t.Fatalf("third miss ready at %d, want 290 (waits for an MSHR until 145)", r3)
+	}
+	// 0x20000's fill is still in flight at cycle 20: merge with it (the map
+	// returned 21 here).
+	if r := h.AccessData(0x20004, 20, false, false); r != 145 {
+		t.Errorf("access to a line in flight ready at %d, want 145", r)
+	}
+	// Both MSHRs are busy at cycle 20, so a new miss waits until 145 (the
+	// map counted one and issued it at once: three misses in flight on two
+	// MSHRs, ready at 165).
+	if r := h.AccessData(0x40000, 20, false, false); r != 145+145 {
+		t.Errorf("miss with both MSHRs busy ready at %d, want 290", r)
+	}
+	// The waiting misses took the slots of fills still in flight, so
+	// 0x10000's fill is no longer visible and its line hits L1, as it did
+	// with the map.
+	if r := h.AccessData(0x10004, 30, false, false); r != 31 {
+		t.Errorf("access to the line whose slot was claimed ready at %d, want 31", r)
 	}
 }
 
@@ -181,23 +229,6 @@ func TestLRUReplacement(t *testing.T) {
 	}
 	if h.Probe(4096) == 1 {
 		t.Error("LRU line not evicted")
-	}
-}
-
-func TestResetClearsEverything(t *testing.T) {
-	h := MustNewHierarchy(BaseConfig())
-	h.AccessData(0x1234, 0, false, false)
-	h.AccessInst(0x5678, 0)
-	h.Reset()
-	s := h.Stats()
-	if s.L1D.Accesses != 0 || s.L1I.Accesses != 0 {
-		t.Error("stats survived reset")
-	}
-	if h.Probe(0x1234) != 4 {
-		t.Error("line survived reset")
-	}
-	if h.InFlight(0x1234, 1) {
-		t.Error("in-flight state survived reset")
 	}
 }
 

@@ -57,16 +57,3 @@ func TestNextEventInstFill(t *testing.T) {
 		t.Errorf("NextEvent(ready) = %d, want 0", ev)
 	}
 }
-
-func TestNextEventReset(t *testing.T) {
-	h := MustNewHierarchy(BaseConfig())
-	h.AccessData(0x1000, 0, false, false)
-	h.AccessInst(0x9000, 0)
-	if ev := h.NextEvent(0); ev == 0 {
-		t.Fatal("expected pending events before Reset")
-	}
-	h.Reset()
-	if ev := h.NextEvent(0); ev != 0 {
-		t.Errorf("NextEvent after Reset = %d, want 0", ev)
-	}
-}

@@ -17,29 +17,10 @@ func driveHierarchy(h *Hierarchy) HierStats {
 	return h.Stats()
 }
 
-// TestHierarchyResetReuse verifies that Reset restores a hierarchy to its
-// just-constructed behavior — identical stats under an identical access
-// sequence — and does so without allocating: the MSHR file and cache arrays
-// are cleared in place, never reallocated.
-func TestHierarchyResetReuse(t *testing.T) {
-	h := MustNewHierarchy(BaseConfig())
-	fresh := driveHierarchy(h)
-
-	if allocs := testing.AllocsPerRun(10, h.Reset); allocs != 0 {
-		t.Errorf("Reset allocates %.0f objects per call, want 0", allocs)
-	}
-
-	h.Reset()
-	reused := driveHierarchy(h)
-	if fresh != reused {
-		t.Errorf("stats after Reset differ from a fresh hierarchy:\nfresh:  %+v\nreused: %+v", fresh, reused)
-	}
-}
-
-// TestHierarchyReuseParallel exercises the reuse pattern under the race
-// detector: distinct goroutines each own one hierarchy and Reset it between
-// runs, the way the bench harness reuses per-worker state. Hierarchies are
-// not shared, so this must be race-clean.
+// TestHierarchyReuseParallel exercises the per-run pattern under the race
+// detector: distinct goroutines each build one hierarchy per run, the way
+// every simulation run builds its own. Hierarchies are not shared, so this
+// must be race-clean and every run must see the same statistics.
 func TestHierarchyReuseParallel(t *testing.T) {
 	var want HierStats
 	{
@@ -51,12 +32,10 @@ func TestHierarchyReuseParallel(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h := MustNewHierarchy(BaseConfig())
 			for run := 0; run < 3; run++ {
-				if got := driveHierarchy(h); got != want {
-					t.Errorf("run %d: stats diverged after Reset", run)
+				if got := driveHierarchy(MustNewHierarchy(BaseConfig())); got != want {
+					t.Errorf("run %d: stats diverged", run)
 				}
-				h.Reset()
 			}
 		}()
 	}

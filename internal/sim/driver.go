@@ -104,7 +104,7 @@ type Model struct {
 // stream (CheckpointSpec.Lookahead). NewModel rejects an invalid hierarchy;
 // the caller has validated the rest of cfg.
 func NewModel(name string, cfg Config, values bool, lookahead int, pipeline func(Run) Pipeline) (Model, error) {
-	if _, err := mem.NewHierarchy(cfg.Hier); err != nil {
+	if err := cfg.Hier.Validate(); err != nil {
 		return Model{}, err
 	}
 	return Model{name: name, cfg: cfg, values: values, lookahead: uint64(lookahead), pipeline: pipeline}, nil
