@@ -107,9 +107,11 @@ func BenchmarkExtras(b *testing.B) {
 }
 
 // BenchmarkModels measures raw simulator throughput (simulated cycles per
-// second) for each machine model on the mcf kernel. The workload is compiled
-// and pre-decoded once outside the measured region, so allocs/op is the
-// models' own allocation behavior.
+// second) on the mcf kernel for each of the six machine models that
+// mpbench's suite workload runs. The workload is compiled and pre-decoded
+// once outside the measured region, so allocs/op is the models' own
+// allocation behavior. It is the entry point for a CPU profile of the cycle
+// loops (go test -run '^$' -bench BenchmarkModels -cpuprofile cpu.out .).
 func BenchmarkModels(b *testing.B) {
 	w, _ := workload.ByName("mcf")
 	pr, err := bench.Prepare(w, benchScale)
@@ -117,7 +119,7 @@ func BenchmarkModels(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, name := range []bench.ModelName{
-		bench.MInorder, bench.MRunahead, bench.MMultipass, bench.MOOO, bench.MOOORealistc,
+		bench.MInorder, bench.MRunahead, bench.MMultipass, bench.MOOO, bench.MOOORealistc, bench.MCGOoO,
 	} {
 		name := name
 		b.Run(string(name), func(b *testing.B) {

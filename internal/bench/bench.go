@@ -85,7 +85,7 @@ func decodeTrace(p *isa.Program, image *arch.Memory) *sim.Trace {
 }
 
 // Prepared is one compiled workload plus its pre-decoded oracle trace, for
-// callers (throughput benchmarks, benchsnap) that run many models or many
+// callers (throughput benchmarks, mpbench) that run many models or many
 // repetitions over the same binary without paying compilation or decoding
 // inside the measured region.
 type Prepared struct {

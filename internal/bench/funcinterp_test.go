@@ -14,9 +14,10 @@ import (
 
 // TestFuncInterpSpeedupSuite measures the superblock interpreter against the
 // step-wise reference across the whole kernel suite and requires the
-// geometric-mean speedup to clear 3x (the ISSUE 10 acceptance bar, also
-// reported per kernel by `benchsnap` as the funcinterp row). It doubles as a
-// differential check on real kernels: final state and counts must match.
+// geometric-mean speedup to clear 3x (mpbench's traced runs report the
+// superblock interpreter's absolute rate on mcf as arch.funcinsts_per_s). It
+// doubles as a differential check on real kernels: final state and counts
+// must match.
 //
 // Methodology: the SBProgram is decoded once per kernel (the design point —
 // sim builds it once and reuses it across every checkpoint interval), and

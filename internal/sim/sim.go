@@ -69,9 +69,6 @@ func (s *RegSet) Has(r isa.Reg) bool {
 	return f >= 0 && s[f/64]&(1<<(f%64)) != 0
 }
 
-// Clear empties the set.
-func (s *RegSet) Clear() { *s = RegSet{} }
-
 // ProducerKind distinguishes what kind of instruction last wrote a register,
 // for stall attribution (load stalls vs other stalls).
 type ProducerKind uint8

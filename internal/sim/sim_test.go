@@ -47,8 +47,11 @@ func TestStreamProducesDynamicSequence(t *testing.T) {
 	if last == nil || !last.Halt {
 		t.Fatal("stream did not end with halt")
 	}
-	if !s.Ended() || s.EndSeq() != 14 {
-		t.Errorf("EndSeq = %d", s.EndSeq())
+	if d, err := s.At(14); err != nil || d == nil || !d.Halt {
+		t.Errorf("At(14) = %+v, %v; want the halt", d, err)
+	}
+	if d, err := s.At(15); err != nil || d != nil {
+		t.Errorf("At(15) = %+v, %v; want nil past the halt", d, err)
 	}
 }
 
@@ -214,9 +217,11 @@ func TestRegSet(t *testing.T) {
 	if s.Has(isa.R0) || s.Has(isa.P0) {
 		t.Error("hardwired registers must not carry dependences")
 	}
-	s.Clear()
-	if s.Has(isa.IntReg(5)) {
-		t.Error("clear did not clear")
+	var zero RegSet
+	for _, r := range []isa.Reg{isa.IntReg(5), isa.FPReg(5), isa.PredReg(5)} {
+		if zero.Has(r) {
+			t.Errorf("zero RegSet has %v", r)
+		}
 	}
 }
 
@@ -253,8 +258,9 @@ func TestProducerKindStallMapping(t *testing.T) {
 
 func TestStreamAccessors(t *testing.T) {
 	s := NewStream(testProgram(), arch.NewMemory(), 1000)
-	for seq := uint64(0); ; seq++ {
-		d, err := s.At(seq)
+	end := uint64(0)
+	for ; ; end++ {
+		d, err := s.At(end)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,8 +268,8 @@ func TestStreamAccessors(t *testing.T) {
 			break
 		}
 	}
-	if !s.Ended() || s.EndSeq() == 0 {
-		t.Errorf("Ended %v EndSeq %d after full interpretation", s.Ended(), s.EndSeq())
+	if d, err := s.At(end - 1); err != nil || d == nil || !d.Halt {
+		t.Errorf("At(%d) = %+v, %v after full interpretation; want the halt", end-1, d, err)
 	}
 	fin := s.FinalState()
 	if fin == nil || !fin.Halted {

@@ -57,9 +57,6 @@ func (s *SkipState) Note(at uint64) {
 // non-repeatable; Jump then refuses to skip.
 func (s *SkipState) MarkDirty() { s.dirty = true }
 
-// Dirty reports whether the cycle was marked dirty.
-func (s *SkipState) Dirty() bool { return s.dirty }
-
 // Jump returns how many cycles beyond now may be fast-forwarded, where now is
 // the first not-yet-simulated cycle (the driver has already charged the
 // cycle just simulated and advanced its clock). It returns 0 when the cycle

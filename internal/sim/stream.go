@@ -208,18 +208,6 @@ func (s *Stream) Release(seq uint64) {
 	}
 }
 
-// Ended reports whether the halt instruction has been produced.
-func (s *Stream) Ended() bool { return s.ended }
-
-// EndSeq returns the sequence of the halt instruction; valid once a request
-// has reached it.
-func (s *Stream) EndSeq() uint64 {
-	if s.tr != nil {
-		return uint64(len(s.tr.insts)) - 1
-	}
-	return s.head - 1
-}
-
 // FinalState returns the architectural state at the halt; meaningful once
 // the stream has ended, and nil for an interval's stream whose recording
 // stops short of the halt. Timing models that do not simulate values

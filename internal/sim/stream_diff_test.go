@@ -106,8 +106,6 @@ func checkStream(t *testing.T, label string, s *Stream, ref *stepwiseRef, from u
 	switch {
 	case ref.err == nil && (d != nil || err != nil):
 		t.Fatalf("%s: seq %d past the halt = %+v, %v", label, end, d, err)
-	case ref.err == nil && (!s.Ended() || s.EndSeq() != end-1):
-		t.Fatalf("%s: Ended %v EndSeq %d, want true %d", label, s.Ended(), s.EndSeq(), end-1)
 	case ref.err != nil && (err == nil || err.Error() != ref.err.Error()):
 		t.Fatalf("%s: seq %d error %v, want %v", label, end, err, ref.err)
 	}
