@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Benchmark regression gate. Runs mpbench's suite workload from this
-# checkout and from a base revision on the same machine, in alternating
-# pairs, then compares the two sets of records at the bounds in
-# BENCHMARK.json. One traced sampled-mcf run per side adds the per-layer
-# rows, the functional interpreter's arch.funcinsts_per_s among them.
+# Benchmark regression gate. Runs mpbench's suite and fabric-sweep
+# workloads from this checkout and from a base revision on the same machine,
+# in alternating pairs, then compares the two sets of records at the bounds
+# in BENCHMARK.json. fabric-sweep times the in-order loop alone and the
+# fabric's per-cell dispatch, which the suite does not. One traced
+# sampled-mcf run per side adds the per-layer rows, the functional
+# interpreter's arch.funcinsts_per_s among them.
 #
 #   bash .github/bench-gate.sh HEAD^1
 #
@@ -38,10 +40,12 @@ side() {
 }
 
 start=$SECONDS
-for seed in 1 2 3; do
-	if ((seed % 2)); then order="base head"; else order="head base"; fi
-	for s in $order; do
-		side "$s" "$seed" -workload suite -trace 0
+for workload in suite fabric-sweep; do
+	for seed in 1 2 3; do
+		if ((seed % 2)); then order="base head"; else order="head base"; fi
+		for s in $order; do
+			side "$s" "$seed" -workload "$workload" -trace 0
+		done
 	done
 done
 side base 1 -workload sampled-mcf -trace 1

@@ -55,12 +55,8 @@ func (r *run) writeAdv(reg isa.Reg, v isa.Word, ready uint64) {
 
 // suppressDests marks the instruction's destinations invalid (A-bit +
 // I-bit), deferring all consumers (§3.1.2).
-func (r *run) suppressDests(in *isa.Inst) {
-	for _, reg := range in.Writes(r.regBuf[:0]) {
-		if reg.IsZeroReg() {
-			continue
-		}
-		f := reg.Flat()
+func (r *run) suppressDests(s *sim.StaticInst) {
+	for _, f := range s.Dsts() {
 		r.aBit[f] = true
 		r.iBit[f] = true
 	}
@@ -123,8 +119,8 @@ func (r *run) advanceCycle() (sim.Cycle, error) {
 			r.passBlocked = true
 			break
 		}
-		in := d.Inst
-		if in.Op.Kind() == isa.KindHalt {
+		in, s := d.Inst, &r.Ops[d.Index]
+		if s.Kind == isa.KindHalt {
 			// Never pre-execute past the end of the program.
 			r.passBlocked = true
 			break
@@ -145,7 +141,7 @@ func (r *run) advanceCycle() (sim.Cycle, error) {
 		// Already processed in a previous pass: merge through the SRF
 		// without re-execution (persistent results, §3.1.2).
 		if e := r.rs.get(r.peek); e != nil {
-			r.advanceMerge(in, e)
+			r.advanceMerge(in, s, e)
 			slots++
 			r.bumpPeek()
 			continue
@@ -154,11 +150,11 @@ func (r *run) advanceCycle() (sim.Cycle, error) {
 		// Qualifying predicate.
 		qp := r.readAdv(in.QP)
 		if !qp.valid {
-			if in.Op.IsBranch() {
+			if s.IsBranch() {
 				// Unresolvable branch: follow the predictor. If the
 				// prediction is actually wrong, everything fetched beyond
 				// is wrong-path for the rest of the episode.
-				if r.Pred.Predict(d.Addr()) != d.Taken {
+				if r.Pred.Predict(s.Addr) != d.Taken {
 					r.Skip.MarkDirty() // blockAt changes without a slot used
 					r.blockAt = r.peek
 					break
@@ -167,7 +163,7 @@ func (r *run) advanceCycle() (sim.Cycle, error) {
 				r.bumpPeek()
 				continue
 			}
-			r.suppressDests(in)
+			r.suppressDests(s)
 			mp.AdvanceDeferred++
 			slots++
 			r.bumpPeek()
@@ -185,8 +181,8 @@ func (r *run) advanceCycle() (sim.Cycle, error) {
 		}
 		qpTrue := qp.val.Bool()
 
-		if in.Op.IsBranch() {
-			if !use.Fits(in.Op, &r.cfg.Caps) {
+		if s.IsBranch() {
+			if !use.FitsClass(s.FU, s.Kind, &r.cfg.Caps) {
 				break
 			}
 			taken := qpTrue
@@ -198,8 +194,8 @@ func (r *run) advanceCycle() (sim.Cycle, error) {
 				r.blockAt = r.peek
 				break
 			}
-			use.Add(in.Op)
-			correct := r.Pred.Update(d.Addr(), taken)
+			use.AddClass(s.FU, s.Kind)
+			correct := r.Pred.Update(s.Addr, taken)
 			mp.EarlyResolved++
 			if !correct {
 				r.Fetch.Flush(r.peek+1, r.Now+1+uint64(r.cfg.MispredictPenalty))
@@ -223,7 +219,7 @@ func (r *run) advanceCycle() (sim.Cycle, error) {
 			continue
 		}
 
-		if in.Op == isa.OpRestart {
+		if s.Kind == isa.KindRestart {
 			mp.RestartInstsSeen++
 			src := r.readAdv(in.Src1)
 			if !src.valid && !r.cfg.DisableRestart {
@@ -237,8 +233,8 @@ func (r *run) advanceCycle() (sim.Cycle, error) {
 			continue
 		}
 
-		if in.Op.IsStore() {
-			if !r.advanceStore(in, d, &use, &slots, &executed) {
+		if s.IsStore() {
+			if !r.advanceStore(in, s, d, &use, &slots, &executed) {
 				break
 			}
 			continue
@@ -247,13 +243,13 @@ func (r *run) advanceCycle() (sim.Cycle, error) {
 		// Generic operand read for loads and computation.
 		var src1, src2 advOp
 		src1 = r.readAdv(in.Src1)
-		if !in.Op.IsLoad() {
+		if !s.IsLoad() {
 			src2 = r.readAdv(in.Src2)
 		} else {
 			src2 = advOp{valid: true}
 		}
 		if !src1.valid || !src2.valid {
-			r.suppressDests(in)
+			r.suppressDests(s)
 			mp.AdvanceDeferred++
 			slots++
 			r.bumpPeek()
@@ -274,19 +270,19 @@ func (r *run) advanceCycle() (sim.Cycle, error) {
 			}
 			break // in-order wait
 		}
-		if !use.Fits(in.Op, &r.cfg.Caps) {
+		if !use.FitsClass(s.FU, s.Kind, &r.cfg.Caps) {
 			break
 		}
 
-		if in.Op.IsLoad() {
-			r.advanceLoad(in, &use, &slots, &executed, src1.val)
+		if s.IsLoad() {
+			r.advanceLoad(in, s, &use, &slots, &executed, src1.val)
 			continue
 		}
 
 		// Computation: execute speculatively, preserve the result.
-		use.Add(in.Op)
+		use.AddClass(s.FU, s.Kind)
 		v := isa.Eval(in.Op, src1.val, src2.val, in.Imm)
-		ready := r.Now + uint64(in.Op.Latency())
+		ready := r.Now + uint64(s.Lat)
 		r.writeAdv(in.Dst, v, ready)
 		if !in.Dst2.IsNone() {
 			r.writeAdv(in.Dst2, isa.BoolWord(!v.Bool()), ready)
@@ -313,14 +309,14 @@ func (r *run) advanceCycle() (sim.Cycle, error) {
 }
 
 // advanceMerge re-applies a previous pass's RS entry to the SRF.
-func (r *run) advanceMerge(in *isa.Inst, e *rsEntry) {
+func (r *run) advanceMerge(in *isa.Inst, s *sim.StaticInst, e *rsEntry) {
 	switch {
 	case e.squashed || e.branchDone:
 		// Nothing to propagate.
 	case e.readyCycle > r.Now:
 		// The preserved result (typically a missing load) has not arrived
 		// yet: consumers stay deferred this pass.
-		r.suppressDests(in)
+		r.suppressDests(s)
 	default:
 		if e.hasVal {
 			ready := e.readyCycle
@@ -342,7 +338,7 @@ func (r *run) advanceMerge(in *isa.Inst, e *rsEntry) {
 
 // advanceStore processes a store in advance mode (§3.6). Returns false when
 // the cycle's group must end.
-func (r *run) advanceStore(in *isa.Inst, d *sim.DynInst, use *isa.FUUse, slots, executed *int) bool {
+func (r *run) advanceStore(in *isa.Inst, s *sim.StaticInst, d *sim.DynInst, use *isa.FUUse, slots, executed *int) bool {
 	mp := &r.Stats.Multipass
 	addrOp := r.readAdv(in.Src1)
 	if !addrOp.valid {
@@ -366,10 +362,10 @@ func (r *run) advanceStore(in *isa.Inst, d *sim.DynInst, use *isa.FUUse, slots, 
 	}
 	dataOp := r.readAdv(in.Src2)
 	if !dataOp.valid {
-		if !use.Fits(in.Op, &r.cfg.Caps) {
+		if !use.FitsClass(s.FU, s.Kind, &r.cfg.Caps) {
 			return false
 		}
-		use.Add(in.Op)
+		use.AddClass(s.FU, s.Kind)
 		// Address known, data unknown: poison the location so loads to it
 		// are suppressed ("the result of a load to the same location is
 		// also invalid").
@@ -383,10 +379,10 @@ func (r *run) advanceStore(in *isa.Inst, d *sim.DynInst, use *isa.FUUse, slots, 
 		r.Skip.Note(dataOp.ready)
 		return false
 	}
-	if !use.Fits(in.Op, &r.cfg.Caps) {
+	if !use.FitsClass(s.FU, s.Kind, &r.cfg.Caps) {
 		return false
 	}
-	use.Add(in.Op)
+	use.AddClass(s.FU, s.Kind)
 	r.asc.insert(addr, in.Op.MemBytes(), dataOp.val, false)
 	r.rs.put(r.peek, rsEntry{readyCycle: r.Now, val: dataOp.val, isStore: true, addr: addr, hasAddr: true})
 	mp.AdvanceExecuted++
@@ -399,7 +395,7 @@ func (r *run) advanceStore(in *isa.Inst, d *sim.DynInst, use *isa.FUUse, slots, 
 // advanceLoad processes a load in advance mode: ASC forwarding, hierarchy
 // access (the prefetching effect), the §3.5 WAW rule for L1 misses, and
 // S-bit marking for data-speculative cases.
-func (r *run) advanceLoad(in *isa.Inst, use *isa.FUUse, slots, executed *int, base isa.Word) {
+func (r *run) advanceLoad(in *isa.Inst, s *sim.StaticInst, use *isa.FUUse, slots, executed *int, base isa.Word) {
 	mp := &r.Stats.Multipass
 	addr := base.Uint32() + uint32(in.Imm)
 	size := in.Op.MemBytes()
@@ -407,14 +403,14 @@ func (r *run) advanceLoad(in *isa.Inst, use *isa.FUUse, slots, executed *int, ba
 	res, fwd := r.asc.lookup(addr, size)
 	switch res {
 	case ascConflict:
-		r.suppressDests(in)
+		r.suppressDests(s)
 		mp.AdvanceDeferred++
 		*slots++
 		r.bumpPeek()
 		return
 	case ascHit:
-		use.Add(in.Op)
-		ready := r.Now + uint64(in.Op.Latency())
+		use.AddClass(s.FU, s.Kind)
+		ready := r.Now + uint64(s.Lat)
 		r.writeAdv(in.Dst, fwd, ready)
 		r.rs.put(r.peek, rsEntry{readyCycle: ready, val: fwd, hasVal: true, addr: addr, hasAddr: true})
 		mp.ASCHits++
@@ -426,7 +422,7 @@ func (r *run) advanceLoad(in *isa.Inst, use *isa.FUUse, slots, executed *int, ba
 	}
 
 	spec := r.storeDeferred || r.asc.setReplaced(addr)
-	use.Add(in.Op)
+	use.AddClass(s.FU, s.Kind)
 	ready := r.Hier.AccessData(addr, r.Now, false, true)
 	val := r.ownMem.LoadWord(in.Op, addr)
 	r.rs.put(r.peek, rsEntry{readyCycle: ready, val: val, hasVal: true, spec: spec, addr: addr, hasAddr: true})
@@ -439,7 +435,7 @@ func (r *run) advanceLoad(in *isa.Inst, use *isa.FUUse, slots, executed *int, ba
 	} else {
 		// §3.5: advance loads that miss L1 do not write back to the SRF;
 		// their consumers defer to a later pass.
-		r.suppressDests(in)
+		r.suppressDests(s)
 	}
 	mp.AdvanceExecuted++
 	*executed++

@@ -54,7 +54,7 @@ group:
 			r.Skip.Note(fready)
 			break
 		}
-		in := d.Inst
+		in, s := d.Inst, &r.Ops[d.Index]
 		if r.ownPC != int(d.Index) {
 			return sim.Cycle{}, fmt.Errorf("core: machine PC %d diverged from stream index %d at seq %d", r.ownPC, d.Index, r.next)
 		}
@@ -62,8 +62,8 @@ group:
 
 		// Data-speculative load: re-perform the access via the SMAQ address
 		// and verify the preserved value (§3.6).
-		if e != nil && e.spec && in.Op.IsLoad() {
-			done, err := r.commitSpecLoad(d, e, &use, &groupWrites, &progress, &blocker, now)
+		if e != nil && e.spec && s.IsLoad() {
+			done, err := r.commitSpecLoad(d, s, e, &use, &groupWrites, &progress, &blocker, now)
 			if err != nil {
 				return sim.Cycle{}, err
 			}
@@ -75,7 +75,7 @@ group:
 
 		// Merge a preserved result (§3.1.3, §3.2).
 		if e != nil {
-			done, redirect, err := r.commitMerge(d, e, &use, &groupWrites, &progress, &blocker, now)
+			done, redirect, err := r.commitMerge(d, s, e, &use, &groupWrites, &progress, &blocker, now)
 			if err != nil {
 				return sim.Cycle{}, err
 			}
@@ -91,30 +91,29 @@ group:
 		// Normal in-order execution with advance-entry detection.
 
 		// Qualifying predicate.
-		if groupWrites.Has(in.QP) {
-			break
-		}
-		if qf := in.QP.Flat(); r.readyAt[qf] > now {
-			if r.prodKind[qf] == sim.ProducerLoad {
-				r.enterAdvance(r.next, r.readyAt[qf])
-				blocker = sim.StallLoad
+		if q := s.QP; q >= 0 {
+			if groupWrites.Has(q) {
 				break
 			}
-			blocker = r.prodKind[qf].StallFor()
-			r.Skip.Note(r.readyAt[qf])
-			break
+			if r.readyAt[q] > now {
+				if r.prodKind[q] == sim.ProducerLoad {
+					r.enterAdvance(r.next, r.readyAt[q])
+					blocker = sim.StallLoad
+					break
+				}
+				blocker = r.prodKind[q].StallFor()
+				r.Skip.Note(r.readyAt[q])
+				break
+			}
 		}
 		qpTrue := r.ownRF.Read(in.QP).Bool()
 
-		if qpTrue && !in.Op.IsBranch() {
-			for _, reg := range in.Reads(r.regBuf[:0]) {
-				if reg == in.QP {
-					continue
-				}
-				if groupWrites.Has(reg) {
+		if qpTrue && !s.IsBranch() {
+			for _, f := range s.Srcs() {
+				if groupWrites.Has(f) {
 					break group
 				}
-				if f := reg.Flat(); r.readyAt[f] > now {
+				if r.readyAt[f] > now {
 					if r.prodKind[f] == sim.ProducerLoad {
 						r.enterAdvance(r.next, r.readyAt[f])
 						blocker = sim.StallLoad
@@ -127,25 +126,25 @@ group:
 			}
 		}
 		if qpTrue {
-			lat := uint64(in.Op.Latency())
-			for _, reg := range in.Writes(r.regBuf[:0]) {
-				if groupWrites.Has(reg) {
+			lat := uint64(s.Lat)
+			for _, f := range s.Dsts() {
+				if groupWrites.Has(f) {
 					break group
 				}
-				if f := reg.Flat(); r.readyAt[f] > now+lat {
+				if r.readyAt[f] > now+lat {
 					blocker = sim.StallOther
 					r.Skip.Note(r.readyAt[f] - lat)
 					break group
 				}
 			}
 		}
-		if !use.Fits(in.Op, &r.cfg.Caps) {
+		if !use.FitsClass(s.FU, s.Kind, &r.cfg.Caps) {
 			blocker = sim.StallOther
 			break
 		}
-		use.Add(in.Op)
+		use.AddClass(s.FU, s.Kind)
 
-		redirect, err := r.commitExec(d, qpTrue, &groupWrites, now)
+		redirect, err := r.commitExec(d, s, qpTrue, &groupWrites, now)
 		if err != nil {
 			return sim.Cycle{}, err
 		}
@@ -172,7 +171,7 @@ group:
 // commitMerge merges one preserved RS entry into architectural state.
 // Returns done=false when the group must end without consuming the
 // instruction, redirect=true after a merged taken branch.
-func (r *run) commitMerge(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWrites *sim.RegSet, progress *int, blocker *sim.StallKind, now uint64) (done, redirect bool, err error) {
+func (r *run) commitMerge(d *sim.DynInst, s *sim.StaticInst, e *rsEntry, use *isa.FUUse, groupWrites *sim.RegSet, progress *int, blocker *sim.StallKind, now uint64) (done, redirect bool, err error) {
 	in := d.Inst
 
 	if r.cfg.DisableRegroup {
@@ -181,24 +180,21 @@ func (r *run) commitMerge(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWrite
 		// the group and the instruction occupies its functional unit. The
 		// preserved result still avoids re-execution (and converts long
 		// latencies to availability at merge time).
-		if groupWrites.Has(in.QP) {
-			return false, false, nil
-		}
-		for _, reg := range in.Reads(r.regBuf[:0]) {
-			if groupWrites.Has(reg) {
+		for _, f := range s.Reads() {
+			if groupWrites.Has(f) {
 				return false, false, nil
 			}
 		}
-		for _, reg := range in.Writes(r.regBuf[:0]) {
-			if groupWrites.Has(reg) {
+		for _, f := range s.Dsts() {
+			if groupWrites.Has(f) {
 				return false, false, nil
 			}
 		}
-		if !use.Fits(in.Op, &r.cfg.Caps) {
+		if !use.FitsClass(s.FU, s.Kind, &r.cfg.Caps) {
 			*blocker = sim.StallOther
 			return false, false, nil
 		}
-		use.Add(in.Op)
+		use.AddClass(s.FU, s.Kind)
 	}
 
 	// Internal consistency: the preserved outcome must match the oracle
@@ -221,7 +217,7 @@ func (r *run) commitMerge(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWrite
 		}
 	}
 	kind := sim.ProducerOther
-	if in.Op.IsLoad() {
+	if s.IsLoad() {
 		kind = sim.ProducerLoad
 	}
 	readyC := e.readyCycle
@@ -231,7 +227,7 @@ func (r *run) commitMerge(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWrite
 		readyC = now
 	}
 	if !e.squashed {
-		r.setReady(in, readyC, kind, groupWrites, r.cfg.DisableRegroup)
+		r.setReady(s, readyC, kind, groupWrites, r.cfg.DisableRegroup)
 	}
 	r.Stats.Multipass.Merged++
 	r.traceMerge(r.next, e)
@@ -244,7 +240,7 @@ func (r *run) commitMerge(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWrite
 	} else {
 		r.ownPC = int(d.Index) + 1
 	}
-	if in.Op.Kind() == isa.KindHalt {
+	if s.Kind == isa.KindHalt {
 		// Halt never receives an RS entry (advance stops before it).
 		return false, false, fmt.Errorf("core: halt had an RS entry at seq %d", r.next)
 	}
@@ -255,34 +251,36 @@ func (r *run) commitMerge(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWrite
 
 // commitSpecLoad re-performs a data-speculative load in rally mode using its
 // SMAQ address, verifying the preserved value and flushing on mismatch.
-func (r *run) commitSpecLoad(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWrites *sim.RegSet, progress *int, blocker *sim.StallKind, now uint64) (bool, error) {
+func (r *run) commitSpecLoad(d *sim.DynInst, s *sim.StaticInst, e *rsEntry, use *isa.FUUse, groupWrites *sim.RegSet, progress *int, blocker *sim.StallKind, now uint64) (bool, error) {
 	in, seq := d.Inst, r.next
-	if groupWrites.Has(in.QP) {
-		return false, nil
-	}
-	if qf := in.QP.Flat(); r.readyAt[qf] > now {
-		*blocker = r.prodKind[qf].StallFor()
-		r.Skip.Note(r.readyAt[qf])
-		return false, nil
+	if q := s.QP; q >= 0 {
+		if groupWrites.Has(q) {
+			return false, nil
+		}
+		if r.readyAt[q] > now {
+			*blocker = r.prodKind[q].StallFor()
+			r.Skip.Note(r.readyAt[q])
+			return false, nil
+		}
 	}
 	if !r.ownRF.Read(in.QP).Bool() {
 		return false, fmt.Errorf("core: data-speculative load was pre-executed but predicate is false at seq %d", seq)
 	}
-	for _, reg := range in.Writes(r.regBuf[:0]) {
-		if groupWrites.Has(reg) {
+	for _, f := range s.Dsts() {
+		if groupWrites.Has(f) {
 			return false, nil
 		}
 	}
-	if !use.Fits(in.Op, &r.cfg.Caps) {
+	if !use.FitsClass(s.FU, s.Kind, &r.cfg.Caps) {
 		*blocker = sim.StallOther
 		return false, nil
 	}
-	use.Add(in.Op)
+	use.AddClass(s.FU, s.Kind)
 
 	ready := r.Hier.AccessData(e.addr, now, false, false)
 	fresh := r.ownMem.LoadWord(in.Op, e.addr)
 	r.commitWrite(in, fresh)
-	r.setReady(in, ready, sim.ProducerLoad, groupWrites, true)
+	r.setReady(s, ready, sim.ProducerLoad, groupWrites, true)
 	r.Stats.Retired++
 	*progress++
 	r.ownPC = int(d.Index) + 1
@@ -306,14 +304,14 @@ func (r *run) commitSpecLoad(d *sim.DynInst, e *rsEntry, use *isa.FUUse, groupWr
 
 // commitExec executes one instruction architecturally (no RS entry).
 // Returns redirect=true when issue must stop at a control transfer.
-func (r *run) commitExec(d *sim.DynInst, qpTrue bool, groupWrites *sim.RegSet, now uint64) (bool, error) {
+func (r *run) commitExec(d *sim.DynInst, s *sim.StaticInst, qpTrue bool, groupWrites *sim.RegSet, now uint64) (bool, error) {
 	in, seq := d.Inst, r.next
 	r.Stats.Retired++
 	r.rs.drop(r.next)
 	r.next++
 	r.ownPC = int(d.Index) + 1
 
-	if in.Op.IsBranch() {
+	if s.IsBranch() {
 		taken := qpTrue
 		if taken != d.Taken {
 			return false, fmt.Errorf("core: branch direction diverged from oracle at seq %d", seq)
@@ -321,7 +319,7 @@ func (r *run) commitExec(d *sim.DynInst, qpTrue bool, groupWrites *sim.RegSet, n
 		if taken {
 			r.ownPC = int(in.Target)
 		}
-		correct := r.Pred.Update(d.Addr(), taken)
+		correct := r.Pred.Update(s.Addr, taken)
 		if !correct {
 			r.Fetch.Flush(r.next, now+1+uint64(r.cfg.MispredictPenalty))
 		}
@@ -332,7 +330,7 @@ func (r *run) commitExec(d *sim.DynInst, qpTrue bool, groupWrites *sim.RegSet, n
 		return false, nil // squashed
 	}
 
-	switch in.Op.Kind() {
+	switch s.Kind {
 	case isa.KindHalt:
 		r.halted = true
 		return true, nil
@@ -345,7 +343,7 @@ func (r *run) commitExec(d *sim.DynInst, qpTrue bool, groupWrites *sim.RegSet, n
 		}
 		ready := r.Hier.AccessData(addr, now, false, false)
 		r.commitWrite(in, r.ownMem.LoadWord(in.Op, addr))
-		r.setReady(in, ready, sim.ProducerLoad, groupWrites, true)
+		r.setReady(s, ready, sim.ProducerLoad, groupWrites, true)
 	case isa.KindStore:
 		addr := arch.EffAddr(in, r.ownRF.Read(in.Src1))
 		if addr != d.MemAddr {
@@ -356,7 +354,7 @@ func (r *run) commitExec(d *sim.DynInst, qpTrue bool, groupWrites *sim.RegSet, n
 	default:
 		v := isa.Eval(in.Op, r.ownRF.Read(in.Src1), r.ownRF.Read(in.Src2), in.Imm)
 		r.commitWrite(in, v)
-		r.setReady(in, now+uint64(in.Op.Latency()), sim.ProducerOther, groupWrites, true)
+		r.setReady(s, now+uint64(s.Lat), sim.ProducerOther, groupWrites, true)
 	}
 	return false, nil
 }

@@ -109,7 +109,6 @@ type run struct {
 	deferRun int
 
 	halted bool
-	regBuf [4]isa.Reg
 	// idleIQFull records that the last advance cycle stalled on the
 	// instruction queue limit without using a slot.
 	idleIQFull bool
@@ -206,15 +205,11 @@ func (r *run) commitWrite(in *isa.Inst, v isa.Word) {
 
 // setReady updates the architectural scoreboard for the instruction's
 // destinations.
-func (r *run) setReady(in *isa.Inst, at uint64, kind sim.ProducerKind, groupWrites *sim.RegSet, trackGroup bool) {
-	for _, reg := range in.Writes(r.regBuf[:0]) {
+func (r *run) setReady(s *sim.StaticInst, at uint64, kind sim.ProducerKind, groupWrites *sim.RegSet, trackGroup bool) {
+	for _, f := range s.Dsts() {
 		if trackGroup {
-			groupWrites.Add(reg)
+			groupWrites.Add(f)
 		}
-		if reg.IsZeroReg() {
-			continue
-		}
-		f := reg.Flat()
 		r.readyAt[f] = at
 		r.prodKind[f] = kind
 	}

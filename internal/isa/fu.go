@@ -37,33 +37,40 @@ type FUUse struct {
 
 // Fits reports whether one more instruction with the given opcode fits in
 // the cycle under caps.
-func (u *FUUse) Fits(op Op, caps *FUCaps) bool {
+func (u *FUUse) Fits(op Op, caps *FUCaps) bool { return u.FitsClass(op.FU(), op.Kind(), caps) }
+
+// FitsClass is Fits for an instruction already decoded to its
+// functional-unit class and kind.
+func (u *FUUse) FitsClass(fu FUClass, k Kind, caps *FUCaps) bool {
 	if u.Issued >= caps.MaxIssue {
 		return false
 	}
-	fu := op.FU()
 	if fu != FUNone && u.PerClass[fu] >= caps.PerClass[fu] {
 		return false
 	}
-	if op.IsLoad() && u.Loads >= caps.MaxLoads {
+	if k == KindLoad && u.Loads >= caps.MaxLoads {
 		return false
 	}
-	if op.IsStore() && u.Stores >= caps.MaxStores {
+	if k == KindStore && u.Stores >= caps.MaxStores {
 		return false
 	}
 	return true
 }
 
 // Add records the issue of an instruction with the given opcode.
-func (u *FUUse) Add(op Op) {
+func (u *FUUse) Add(op Op) { u.AddClass(op.FU(), op.Kind()) }
+
+// AddClass is Add for an instruction already decoded to its
+// functional-unit class and kind.
+func (u *FUUse) AddClass(fu FUClass, k Kind) {
 	u.Issued++
-	if fu := op.FU(); fu != FUNone {
+	if fu != FUNone {
 		u.PerClass[fu]++
 	}
-	if op.IsLoad() {
+	switch k {
+	case KindLoad:
 		u.Loads++
-	}
-	if op.IsStore() {
+	case KindStore:
 		u.Stores++
 	}
 }

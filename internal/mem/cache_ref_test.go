@@ -117,73 +117,127 @@ func (c *refCache) install(addr uint32, write bool) {
 }
 
 // refHierarchy calls the reference caches in the timestamp design's
-// lookup-then-install pattern. Its MSHR file, instruction fill and stall
-// count are those of a real Hierarchy, whose own caches it never touches:
-// the reference replaces the levels, not the miss bookkeeping.
+// lookup-then-install pattern. Its MSHR file scans every slot on every call,
+// with none of the hierarchy's shortcuts.
 type refHierarchy struct {
-	mshrs            *Hierarchy
+	cfg              HierConfig
 	l1i, l1d, l2, l3 *refCache
+	inflight         []mshr
+	instFill         mshr
+	mshrStalls       uint64
 }
 
 func newRefHierarchy(cfg HierConfig) *refHierarchy {
 	return &refHierarchy{
-		mshrs: MustNewHierarchy(cfg),
-		l1i:   newRefCache(cfg.L1I),
-		l1d:   newRefCache(cfg.L1D),
-		l2:    newRefCache(cfg.L2),
-		l3:    newRefCache(cfg.L3),
+		cfg:      cfg,
+		l1i:      newRefCache(cfg.L1I),
+		l1d:      newRefCache(cfg.L1D),
+		l2:       newRefCache(cfg.L2),
+		l3:       newRefCache(cfg.L3),
+		inflight: make([]mshr, cfg.MaxMisses),
 	}
 }
 
+func (r *refHierarchy) mergeAddr(addr uint32) uint32 {
+	return addr &^ uint32(r.cfg.L2.LineBytes-1)
+}
+
+func (r *refHierarchy) fillFor(addr uint32, now uint64) uint64 {
+	for _, m := range r.inflight {
+		if m.addr == addr && m.ready > now {
+			return m.ready
+		}
+	}
+	return 0
+}
+
+func (r *refHierarchy) outstanding(now uint64) int {
+	n := 0
+	for _, m := range r.inflight {
+		if m.ready > now {
+			n++
+		}
+	}
+	return n
+}
+
+func (r *refHierarchy) earliestCompletion(now uint64) uint64 {
+	best := now
+	for _, m := range r.inflight {
+		if m.ready > now && (best == now || m.ready < best) {
+			best = m.ready
+		}
+	}
+	return best
+}
+
+func (r *refHierarchy) startFill(addr uint32, now, ready uint64) {
+	for i, m := range r.inflight {
+		if m.ready <= now {
+			r.inflight[i] = mshr{addr: addr, ready: ready}
+			return
+		}
+	}
+	panic("no free MSHR")
+}
+
+func (r *refHierarchy) NextEvent(now uint64) uint64 {
+	var best uint64
+	for _, m := range slices.Concat(r.inflight, []mshr{r.instFill}) {
+		if m.ready > now && (best == 0 || m.ready < best) {
+			best = m.ready
+		}
+	}
+	return best
+}
+
 func (r *refHierarchy) AccessData(addr uint32, now uint64, write, advance bool) uint64 {
-	h := r.mshrs
-	if ready := h.fillFor(h.mergeAddr(addr), now); ready != 0 {
+	if ready := r.fillFor(r.mergeAddr(addr), now); ready != 0 {
 		r.l1d.lookupW(addr, write, advance)
 		r.l1d.install(addr, write)
 		return ready
 	}
 	if r.l1d.lookupW(addr, write, advance) {
-		return now + uint64(h.cfg.L1D.Latency)
+		return now + uint64(r.cfg.L1D.Latency)
 	}
 	issueAt := now
-	for h.outstanding(issueAt) >= h.cfg.MaxMisses {
-		h.mshrStalls++
-		issueAt = h.earliestCompletion(issueAt)
+	for r.outstanding(issueAt) >= r.cfg.MaxMisses {
+		r.mshrStalls++
+		issueAt = r.earliestCompletion(issueAt)
 	}
 	var ready uint64
 	switch {
 	case r.l2.lookup(addr, advance):
-		ready = issueAt + uint64(h.cfg.L2.Latency)
+		ready = issueAt + uint64(r.cfg.L2.Latency)
 	case r.l3.lookup(addr, advance):
-		ready = issueAt + uint64(h.cfg.L3.Latency)
+		ready = issueAt + uint64(r.cfg.L3.Latency)
 	default:
 		r.l3.install(addr, false)
-		ready = issueAt + uint64(h.cfg.MemLatency)
+		ready = issueAt + uint64(r.cfg.MemLatency)
 	}
 	r.l2.install(addr, false)
 	r.l1d.install(addr, write)
-	h.startFill(h.mergeAddr(addr), issueAt, ready)
+	r.startFill(r.mergeAddr(addr), issueAt, ready)
 	return ready
 }
 
 func (r *refHierarchy) AccessInst(addr uint32, now uint64) uint64 {
-	h := r.mshrs
 	if r.l1i.lookup(addr, false) {
-		return now + uint64(h.cfg.L1I.Latency)
+		return now + uint64(r.cfg.L1I.Latency)
 	}
 	var ready uint64
 	switch {
 	case r.l2.lookup(addr, false):
-		ready = now + uint64(h.cfg.L2.Latency)
+		ready = now + uint64(r.cfg.L2.Latency)
 	case r.l3.lookup(addr, false):
-		ready = now + uint64(h.cfg.L3.Latency)
+		ready = now + uint64(r.cfg.L3.Latency)
 	default:
 		r.l3.install(addr, false)
-		ready = now + uint64(h.cfg.MemLatency)
+		ready = now + uint64(r.cfg.MemLatency)
 	}
 	r.l2.install(addr, false)
 	r.l1i.install(addr, false)
-	h.instFill = mshr{addr: addr, ready: ready}
+	r.instFill = mshr{addr: addr, ready: ready}
 	return ready
 }
 
@@ -233,14 +287,14 @@ func (r *refHierarchy) Stats() HierStats {
 		L1D:        r.l1d.stats,
 		L2:         r.l2.stats,
 		L3:         r.l3.stats,
-		MSHRStalls: r.mshrs.mshrStalls,
+		MSHRStalls: r.mshrStalls,
 	}
 }
 
 // restoredFrom returns a fresh reference hierarchy holding r's lines and
 // timestamps, as RestoreWarm(CaptureWarm()) does for the packed one.
 func (r *refHierarchy) restoredFrom() *refHierarchy {
-	n := newRefHierarchy(r.mshrs.cfg)
+	n := newRefHierarchy(r.cfg)
 	for _, p := range [][2]*refCache{{n.l1i, r.l1i}, {n.l1d, r.l1d}, {n.l2, r.l2}, {n.l3, r.l3}} {
 		p[0].lines = slices.Clone(p[1].lines)
 		p[0].useClock = p[1].useClock
@@ -396,6 +450,13 @@ func checkCacheDifferential(t *testing.T, cfg HierConfig, ops []cacheOp) HierSta
 		}
 		if got, want := h.Stats(), r.Stats(); got != want {
 			t.Fatalf("op %d %v at cycle %d: stats\n%+v\nreference\n%+v", i, op, now, got, want)
+		}
+		// The clock may jump anywhere between calls, so ask both before and
+		// after the fills in flight complete.
+		for _, at := range []uint64{now, now + 3, now + uint64(cfg.L3.Latency), now + uint64(cfg.MemLatency)} {
+			if got, want := h.NextEvent(at), r.NextEvent(at); got != want {
+				t.Fatalf("op %d %v at cycle %d: NextEvent(%d) = %d, reference %d", i, op, now, at, got, want)
+			}
 		}
 		touched = append(touched, op.addr)
 		if i%128 == 127 {

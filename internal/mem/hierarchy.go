@@ -102,6 +102,10 @@ type Hierarchy struct {
 	// makes a linear scan cheaper than any map, and the structure is
 	// allocation-free.
 	inflight []mshr
+	// busyUntil is the latest completion startFill has set, the only write
+	// to a data slot. At or past it no data fill is in flight, so the MSHR
+	// scans return at once.
+	busyUntil uint64
 	// instFill is the most recent instruction-side fill. The front end has
 	// its own port (AccessInst consumes no data MSHR) and fetches lines
 	// serially, so a single slot covers every in-flight inst fill; it exists
@@ -163,6 +167,9 @@ func (h *Hierarchy) mergeAddr(addr uint32) uint32 {
 // outstanding counts fills still in flight at cycle now. Slots whose fills
 // have completed are implicitly free (no purge needed).
 func (h *Hierarchy) outstanding(now uint64) int {
+	if now >= h.busyUntil {
+		return 0
+	}
 	n := 0
 	for i := range h.inflight {
 		if h.inflight[i].ready > now {
@@ -200,9 +207,11 @@ func (h *Hierarchy) earliestCompletion(now uint64) uint64 {
 // stable until that fill completes.
 func (h *Hierarchy) NextEvent(now uint64) uint64 {
 	var best uint64
-	for i := range h.inflight {
-		if r := h.inflight[i].ready; r > now && (best == 0 || r < best) {
-			best = r
+	if now < h.busyUntil {
+		for i := range h.inflight {
+			if r := h.inflight[i].ready; r > now && (best == 0 || r < best) {
+				best = r
+			}
 		}
 	}
 	if r := h.instFill.ready; r > now && (best == 0 || r < best) {
@@ -214,6 +223,9 @@ func (h *Hierarchy) NextEvent(now uint64) uint64 {
 // fillFor returns the completion cycle of an ongoing fill of addr's merge
 // line, or 0 when none is in flight at cycle now.
 func (h *Hierarchy) fillFor(addr uint32, now uint64) uint64 {
+	if now >= h.busyUntil {
+		return 0
+	}
 	for i := range h.inflight {
 		if h.inflight[i].addr == addr && h.inflight[i].ready > now {
 			return h.inflight[i].ready
@@ -229,6 +241,7 @@ func (h *Hierarchy) startFill(addr uint32, now, ready uint64) {
 	for i := range h.inflight {
 		if h.inflight[i].ready <= now {
 			h.inflight[i] = mshr{addr: addr, ready: ready}
+			h.busyUntil = max(h.busyUntil, ready)
 			return
 		}
 	}

@@ -280,7 +280,8 @@ func (pl *pipeline) Step() (sim.Cycle, error) {
 			}
 		}
 		b := pl.blkAt(curBlk)
-		w.Insert(d).Group = curBlk
+		s := &pl.Ops[d.Index]
+		w.Insert(d, s).Group = curBlk
 		b.n++
 		inserted++
 		if d.IsBranch || d.Halt || b.n >= cfg.BlockSize {
@@ -293,7 +294,7 @@ func (pl *pipeline) Step() (sim.Cycle, error) {
 		if d.Halt {
 			break
 		}
-		if d.IsBranch && pl.Pred.Predict(d.Addr()) != d.Taken {
+		if d.IsBranch && pl.Pred.Predict(s.Addr) != d.Taken {
 			// Everything fetched beyond this branch would be wrong-path;
 			// stall the front end until it resolves.
 			pl.barrier = seq
@@ -312,11 +313,10 @@ func (pl *pipeline) Step() (sim.Cycle, error) {
 		if e.ReadyAt > now || int(blkIssued[e.Group&pl.blkMask]) >= cfg.WindowIssue {
 			continue
 		}
-		op := e.D.Inst.Op
-		if !use.Fits(op, &cfg.Caps) {
+		if !use.FitsClass(e.S.FU, e.S.Kind, &cfg.Caps) {
 			continue
 		}
-		use.Add(op)
+		use.AddClass(e.S.FU, e.S.Kind)
 		w.Issue(seq, now, pl.Hier)
 		blkIssued[e.Group&pl.blkMask]++
 		issued++
@@ -325,7 +325,7 @@ func (pl *pipeline) Step() (sim.Cycle, error) {
 			if seq == pl.barrier {
 				pl.barrier = noSeq // resolved; fetch may resume
 			}
-			if !pl.Pred.Update(e.D.Addr(), e.D.Taken) {
+			if !pl.Pred.Update(e.S.Addr, e.D.Taken) {
 				// Block-granularity squash: the branch terminated its block,
 				// so every younger in-flight instruction belongs to a younger
 				// block; discard those blocks and refetch.

@@ -48,7 +48,6 @@ type pipeline struct {
 	readyAt  [isa.NumFlatRegs]uint64
 	prodKind [isa.NumFlatRegs]sim.ProducerKind
 	next     uint64 // next sequence to issue
-	regBuf   [4]isa.Reg
 }
 
 // Head implements sim.Pipeline.
@@ -64,7 +63,7 @@ func (pl *pipeline) Credit(uint64) {}
 // Idle and charged to the blocker that stopped it.
 func (pl *pipeline) Step() (sim.Cycle, error) {
 	cfg, now := pl.cfg, pl.Now
-	stream, fe, skip := pl.Stream, pl.Fetch, &pl.Skip
+	stream, ops, fe, skip := pl.Stream, pl.Ops, pl.Fetch, &pl.Skip
 	readyAt, prodKind := &pl.readyAt, &pl.prodKind
 	next := pl.next
 	fe.SetLimit(next + uint64(cfg.BufferSize))
@@ -101,16 +100,18 @@ group:
 			skip.Note(fready)
 			break
 		}
-		in := d.Inst
+		s := &ops[d.Index]
 
 		// Qualifying predicate must be readable.
-		if groupWrites.Has(in.QP) {
-			break // written earlier in this group: issue next cycle
-		}
-		if qf := in.QP.Flat(); readyAt[qf] > now {
-			blocker = prodKind[qf].StallFor()
-			skip.Note(readyAt[qf])
-			break
+		if q := s.QP; q >= 0 {
+			if groupWrites.Has(q) {
+				break // written earlier in this group: issue next cycle
+			}
+			if readyAt[q] > now {
+				blocker = prodKind[q].StallFor()
+				skip.Note(readyAt[q])
+				break
+			}
 		}
 		// The machine simulates no values: the stream's record resolves the
 		// predicate (a branch is taken exactly when it is true).
@@ -122,15 +123,12 @@ group:
 		// Source operands: needed only when the instruction will actually
 		// execute (predicated-off instructions are nullified without
 		// stalling; branches consume only their predicate).
-		if qpTrue && !in.Op.IsBranch() {
-			for _, r := range in.Reads(pl.regBuf[:0]) {
-				if r == in.QP {
-					continue
-				}
-				if groupWrites.Has(r) {
+		if qpTrue && !s.IsBranch() {
+			for _, f := range s.Srcs() {
+				if groupWrites.Has(f) {
 					break group
 				}
-				if f := r.Flat(); readyAt[f] > now {
+				if readyAt[f] > now {
 					blocker = prodKind[f].StallFor()
 					skip.Note(readyAt[f])
 					break group
@@ -141,28 +139,28 @@ group:
 		// longer-latency write to the same register scoreboards the issue
 		// (out-of-order completion, paper §3.5).
 		if qpTrue {
-			lat := uint64(in.Op.Latency())
-			for _, r := range in.Writes(pl.regBuf[:0]) {
-				if groupWrites.Has(r) {
+			lat := uint64(s.Lat)
+			for _, f := range s.Dsts() {
+				if groupWrites.Has(f) {
 					break group
 				}
-				if f := r.Flat(); readyAt[f] > now+lat {
+				if readyAt[f] > now+lat {
 					blocker = sim.StallOther
 					skip.Note(readyAt[f] - lat)
 					break group
 				}
 			}
 		}
-		if !use.Fits(in.Op, &cfg.Caps) {
+		if !use.FitsClass(s.FU, s.Kind, &cfg.Caps) {
 			blocker = sim.StallOther
 			break
 		}
 
-		use.Add(in.Op)
+		use.AddClass(s.FU, s.Kind)
 		pl.Stats.Retired++
 		issued++
 
-		completion := now + uint64(in.Op.Latency())
+		completion := now + uint64(s.Lat)
 		kind := sim.ProducerOther
 		switch {
 		case d.IsLoad:
@@ -175,22 +173,20 @@ group:
 			pl.Hier.AccessData(d.MemAddr, now, true, false)
 		}
 		if !d.Squashed {
-			for _, r := range in.Writes(pl.regBuf[:0]) {
-				groupWrites.Add(r)
-				if f := r.Flat(); !r.IsZeroReg() {
-					readyAt[f] = completion
-					prodKind[f] = kind
-				}
+			for _, f := range s.Dsts() {
+				groupWrites.Add(f)
+				readyAt[f] = completion
+				prodKind[f] = kind
 			}
 		}
 
-		if in.Op.Kind() == isa.KindHalt {
+		if s.Kind == isa.KindHalt {
 			halted = true
 		}
 		next++
 
 		if d.IsBranch {
-			correct := pl.Pred.Update(d.Addr(), d.Taken)
+			correct := pl.Pred.Update(s.Addr, d.Taken)
 			if !correct {
 				fe.Flush(next, now+1+uint64(cfg.MispredictPenalty))
 			}

@@ -118,9 +118,10 @@ func New(cfg Config) (*Machine, error) {
 	return &Machine{m}, nil
 }
 
-// queueOf maps an opcode to its decentralized scheduling queue.
-func queueOf(op isa.Op) int {
-	switch op.FU() {
+// queueOf maps a functional-unit class to its decentralized scheduling
+// queue.
+func queueOf(fu isa.FUClass) int {
+	switch fu {
 	case isa.FUMem:
 		return 0
 	case isa.FUFP:
@@ -222,7 +223,7 @@ func (pl *pipeline) Step() (sim.Cycle, error) {
 			if d == nil {
 				break
 			}
-			if pl.inQueue[queueOf(d.Inst.Op)] >= cfg.QueueSize {
+			if pl.inQueue[queueOf(pl.Ops[d.Index].FU)] >= cfg.QueueSize {
 				st.OOO.WindowFullCy++
 				pl.winFullIdle = inserted == 0
 				break
@@ -250,15 +251,16 @@ func (pl *pipeline) Step() (sim.Cycle, error) {
 			skip.Note(fready)
 			break
 		}
-		e := w.Insert(d)
-		e.Group = uint64(queueOf(d.Inst.Op))
+		s := &pl.Ops[d.Index]
+		e := w.Insert(d, s)
+		e.Group = uint64(queueOf(s.FU))
 		pl.inWindow++
 		pl.inQueue[e.Group]++
 		inserted++
 		if d.Halt {
 			break
 		}
-		if d.IsBranch && pl.Pred.Predict(d.Addr()) != d.Taken {
+		if d.IsBranch && pl.Pred.Predict(s.Addr) != d.Taken {
 			// Everything fetched beyond this branch would be wrong-path;
 			// stall the front end until it resolves.
 			pl.barrier = seq
@@ -278,11 +280,10 @@ func (pl *pipeline) Step() (sim.Cycle, error) {
 		if cfg.ConservativeMemOrder && e.D.IsLoad && w.StoreWaitingBefore(seq) {
 			continue
 		}
-		op := e.D.Inst.Op
-		if !use.Fits(op, &cfg.Caps) {
+		if !use.FitsClass(e.S.FU, e.S.Kind, &cfg.Caps) {
 			continue
 		}
-		use.Add(op)
+		use.AddClass(e.S.FU, e.S.Kind)
 		w.Issue(seq, now, pl.Hier)
 		pl.inWindow--
 		pl.inQueue[e.Group]--
@@ -292,7 +293,7 @@ func (pl *pipeline) Step() (sim.Cycle, error) {
 			if seq == pl.barrier {
 				pl.barrier = noSeq // resolved; fetch may resume
 			}
-			if !pl.Pred.Update(e.D.Addr(), e.D.Taken) {
+			if !pl.Pred.Update(e.S.Addr, e.D.Taken) {
 				// Squash younger in-flight instructions and refetch.
 				for y := seq + 1; y < w.End(); y++ {
 					if ye := w.At(y); ye.State == window.Waiting {

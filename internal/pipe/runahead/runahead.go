@@ -94,7 +94,6 @@ type runState struct {
 	next     uint64
 	resumeAt uint64 // no architectural issue before this (exit penalty)
 	halted   bool
-	regBuf   [4]isa.Reg
 }
 
 const raStoreBuckets = 512
@@ -220,32 +219,31 @@ group:
 			r.Skip.Note(fready)
 			break
 		}
-		in := d.Inst
+		s := &r.Ops[d.Index]
 
-		if groupWrites.Has(in.QP) {
-			break
-		}
-		if qf := in.QP.Flat(); r.readyAt[qf] > now {
-			if r.prodKind[qf] == sim.ProducerLoad {
-				r.enterEpisode(r.readyAt[qf])
-				blocker = sim.StallLoad
+		if q := s.QP; q >= 0 {
+			if groupWrites.Has(q) {
 				break
 			}
-			blocker = r.prodKind[qf].StallFor()
-			r.Skip.Note(r.readyAt[qf])
-			break
-		}
-		qpTrue := r.Own.RF.Read(in.QP).Bool()
-
-		if qpTrue && !in.Op.IsBranch() {
-			for _, reg := range in.Reads(r.regBuf[:0]) {
-				if reg == in.QP {
-					continue
+			if r.readyAt[q] > now {
+				if r.prodKind[q] == sim.ProducerLoad {
+					r.enterEpisode(r.readyAt[q])
+					blocker = sim.StallLoad
+					break
 				}
-				if groupWrites.Has(reg) {
+				blocker = r.prodKind[q].StallFor()
+				r.Skip.Note(r.readyAt[q])
+				break
+			}
+		}
+		qpTrue := r.Own.RF.Read(d.Inst.QP).Bool()
+
+		if qpTrue && !s.IsBranch() {
+			for _, f := range s.Srcs() {
+				if groupWrites.Has(f) {
 					break group
 				}
-				if f := reg.Flat(); r.readyAt[f] > now {
+				if r.readyAt[f] > now {
 					if r.prodKind[f] == sim.ProducerLoad {
 						r.enterEpisode(r.readyAt[f])
 						blocker = sim.StallLoad
@@ -258,19 +256,19 @@ group:
 			}
 		}
 		if qpTrue {
-			lat := uint64(in.Op.Latency())
-			for _, reg := range in.Writes(r.regBuf[:0]) {
-				if groupWrites.Has(reg) {
+			lat := uint64(s.Lat)
+			for _, f := range s.Dsts() {
+				if groupWrites.Has(f) {
 					break group
 				}
-				if f := reg.Flat(); r.readyAt[f] > now+lat {
+				if r.readyAt[f] > now+lat {
 					blocker = sim.StallOther
 					r.Skip.Note(r.readyAt[f] - lat)
 					break group
 				}
 			}
 		}
-		if !use.Fits(in.Op, &r.cfg.Caps) {
+		if !use.FitsClass(s.FU, s.Kind, &r.cfg.Caps) {
 			blocker = sim.StallOther
 			break
 		}
@@ -282,11 +280,11 @@ group:
 		if err != nil {
 			return sim.Cycle{}, err
 		}
-		use.Add(in.Op)
+		use.AddClass(s.FU, s.Kind)
 		r.Stats.Retired++
 		issued++
 
-		completion := now + uint64(in.Op.Latency())
+		completion := now + uint64(s.Lat)
 		kind := sim.ProducerOther
 		switch {
 		case info.IsLoad:
@@ -296,20 +294,18 @@ group:
 			r.Hier.AccessData(info.MemAddr, now, true, false)
 		}
 		if !info.Squashed {
-			for _, reg := range in.Writes(r.regBuf[:0]) {
-				groupWrites.Add(reg)
-				if f := reg.Flat(); !reg.IsZeroReg() {
-					r.readyAt[f] = completion
-					r.prodKind[f] = kind
-				}
+			for _, f := range s.Dsts() {
+				groupWrites.Add(f)
+				r.readyAt[f] = completion
+				r.prodKind[f] = kind
 			}
 		}
-		if in.Op.Kind() == isa.KindHalt {
+		if s.Kind == isa.KindHalt {
 			r.halted = true
 		}
 		r.next++
 		if info.IsBranch {
-			correct := r.Pred.Update(d.Addr(), d.Taken)
+			correct := r.Pred.Update(s.Addr, d.Taken)
 			if !correct {
 				r.Fetch.Flush(r.next, now+1+uint64(r.cfg.MispredictPenalty))
 			}
@@ -359,12 +355,8 @@ func (r *runState) writeRA(reg isa.Reg, v isa.Word, ready uint64) {
 	r.raReady[f] = ready
 }
 
-func (r *runState) poisonRA(in *isa.Inst) {
-	for _, reg := range in.Writes(r.regBuf[:0]) {
-		if reg.IsZeroReg() {
-			continue
-		}
-		f := reg.Flat()
+func (r *runState) poisonRA(s *sim.StaticInst) {
+	for _, f := range s.Dsts() {
 		r.raBit[f] = true
 		r.raInvalid[f] = true
 	}
@@ -398,7 +390,7 @@ func (r *runState) runaheadCycle() (sim.Cycle, error) {
 		if err != nil {
 			return sim.Cycle{}, err
 		}
-		if d == nil || d.Inst.Op.Kind() == isa.KindHalt {
+		if d == nil || r.Ops[d.Index].Kind == isa.KindHalt {
 			r.blocked = true
 			break
 		}
@@ -414,12 +406,12 @@ func (r *runState) runaheadCycle() (sim.Cycle, error) {
 			r.Skip.Note(fready)
 			break
 		}
-		in := d.Inst
+		in, s := d.Inst, &r.Ops[d.Index]
 
 		qpValid, qpReady, qpVal := r.readRA(in.QP)
 		if !qpValid {
-			if in.Op.IsBranch() {
-				if r.Pred.Predict(d.Addr()) != d.Taken {
+			if s.IsBranch() {
+				if r.Pred.Predict(s.Addr) != d.Taken {
 					r.blocked = true // wrong path beyond here
 					break
 				}
@@ -427,7 +419,7 @@ func (r *runState) runaheadCycle() (sim.Cycle, error) {
 				r.peek++
 				continue
 			}
-			r.poisonRA(in)
+			r.poisonRA(s)
 			r.Stats.Runahead.Deferred++
 			slots++
 			r.peek++
@@ -439,7 +431,7 @@ func (r *runState) runaheadCycle() (sim.Cycle, error) {
 		}
 		qpTrue := qpVal.Bool()
 
-		if in.Op.IsBranch() {
+		if s.IsBranch() {
 			if qpTrue != d.Taken {
 				r.blocked = true // speculative divergence from the true path
 				break
@@ -456,14 +448,14 @@ func (r *runState) runaheadCycle() (sim.Cycle, error) {
 			r.peek++
 			continue
 		}
-		if in.Op == isa.OpRestart {
+		if s.Kind == isa.KindRestart {
 			// No advance restart in Dundas-Mudge runahead: plain nop.
 			slots++
 			r.peek++
 			continue
 		}
 
-		if in.Op.IsStore() {
+		if s.IsStore() {
 			av, ar, abase := r.readRA(in.Src1)
 			if !av {
 				slots++
@@ -479,10 +471,10 @@ func (r *runState) runaheadCycle() (sim.Cycle, error) {
 				r.Skip.Note(dr)
 				break
 			}
-			if !use.Fits(in.Op, &r.cfg.Caps) {
+			if !use.FitsClass(s.FU, s.Kind, &r.cfg.Caps) {
 				break
 			}
-			use.Add(in.Op)
+			use.AddClass(s.FU, s.Kind)
 			addr := abase.Uint32() + uint32(in.Imm)
 			r.putStore(storeKey(addr, in.Op.MemBytes()), dval, !dv)
 			r.Stats.Runahead.PreExecuted++
@@ -495,13 +487,13 @@ func (r *runState) runaheadCycle() (sim.Cycle, error) {
 		var s2v bool
 		var s2r uint64
 		var s2val isa.Word
-		if in.Op.IsLoad() {
+		if s.IsLoad() {
 			s2v = true
 		} else {
 			s2v, s2r, s2val = r.readRA(in.Src2)
 		}
 		if !sv || !s2v {
-			r.poisonRA(in)
+			r.poisonRA(s)
 			r.Stats.Runahead.Deferred++
 			slots++
 			r.peek++
@@ -516,30 +508,30 @@ func (r *runState) runaheadCycle() (sim.Cycle, error) {
 			}
 			break
 		}
-		if !use.Fits(in.Op, &r.cfg.Caps) {
+		if !use.FitsClass(s.FU, s.Kind, &r.cfg.Caps) {
 			break
 		}
-		use.Add(in.Op)
+		use.AddClass(s.FU, s.Kind)
 
-		if in.Op.IsLoad() {
+		if s.IsLoad() {
 			addr := sval.Uint32() + uint32(in.Imm)
 			if st, hit := r.getStore(storeKey(addr, in.Op.MemBytes())); hit {
 				if st.invalid {
-					r.poisonRA(in)
+					r.poisonRA(s)
 				} else {
-					r.writeRA(in.Dst, st.val, now+uint64(in.Op.Latency()))
+					r.writeRA(in.Dst, st.val, now+uint64(s.Lat))
 				}
 			} else {
 				ready := r.Hier.AccessData(addr, now, false, true)
 				if ready <= now+uint64(r.cfg.Hier.L1D.Latency) {
 					r.writeRA(in.Dst, r.Own.Mem.LoadWord(in.Op, addr), ready)
 				} else {
-					r.poisonRA(in) // missing loads yield no value
+					r.poisonRA(s) // missing loads yield no value
 				}
 			}
 		} else {
 			v := isa.Eval(in.Op, sval, s2val, in.Imm)
-			ready := now + uint64(in.Op.Latency())
+			ready := now + uint64(s.Lat)
 			r.writeRA(in.Dst, v, ready)
 			if !in.Dst2.IsNone() {
 				r.writeRA(in.Dst2, isa.BoolWord(!v.Bool()), ready)

@@ -43,7 +43,9 @@ const (
 // Entry is one in-flight instruction. Operands rename to at most four
 // producer sequences (QP plus three sources).
 type Entry struct {
-	D     *sim.DynInst
+	D *sim.DynInst
+	// S is D's entry in the run's operand table.
+	S     *sim.StaticInst
 	State State
 	// Group is the owning model's grouping of the entry: ooo's scheduling
 	// queue, cgooo's block id. The window never reads it.
@@ -81,7 +83,6 @@ type Window struct {
 	// producer), issued-but-not-done entries, and stores not yet issued.
 	woken, issued, stores []uint64
 	lastProd              [isa.NumFlatRegs]uint64 // flat reg -> producing seq
-	regs                  [4]isa.Reg
 }
 
 // New returns an empty window whose head is seq start. Its ring holds at
@@ -122,29 +123,25 @@ func (w *Window) At(seq uint64) *Entry { return &w.ring[seq&w.mask] }
 func set(bm []uint64, slot uint64)   { bm[slot>>6] |= 1 << (slot & 63) }
 func unset(bm []uint64, slot uint64) { bm[slot>>6] &^= 1 << (slot & 63) }
 
-// Insert renames d into seq End and returns its entry, Waiting. The entry is
-// woken at once if every producer it reads has already issued.
-func (w *Window) Insert(d *sim.DynInst) *Entry {
+// Insert renames d, whose operand-table entry is s, into seq End and
+// returns its entry, Waiting. The entry is woken at once if every producer
+// it reads has already issued.
+func (w *Window) Insert(d *sim.DynInst, s *sim.StaticInst) *Entry {
 	seq := w.End()
 	slot := seq & w.mask
 	e := &w.ring[slot]
-	*e = Entry{D: d, consumers: -1}
-	for _, reg := range d.Inst.Reads(w.regs[:0]) {
-		if reg.IsZeroReg() {
-			continue
-		}
+	*e = Entry{D: d, S: s, consumers: -1}
+	for _, f := range s.Reads() {
 		// noSeq passes the >= base filter (it is the max uint64), so an
 		// empty slot must be rejected explicitly.
-		if prod := w.lastProd[reg.Flat()]; prod != noSeq && prod >= w.base {
+		if prod := w.lastProd[f]; prod != noSeq && prod >= w.base {
 			e.deps[e.ndeps] = prod
 			w.link(e, slot, e.ndeps)
 			e.ndeps++
 		}
 	}
-	for _, reg := range d.Inst.Writes(w.regs[:0]) {
-		if !reg.IsZeroReg() {
-			w.lastProd[reg.Flat()] = seq
-		}
+	for _, f := range s.Dsts() {
+		w.lastProd[f] = seq
 	}
 	if e.pending == 0 {
 		set(w.woken, slot)
@@ -218,7 +215,7 @@ func (w *Window) Issue(seq, now uint64, hier *mem.Hierarchy) *Entry {
 	e := &w.ring[slot]
 	unset(w.woken, slot)
 	d := e.D
-	e.Completion = now + uint64(d.Inst.Op.Latency())
+	e.Completion = now + uint64(e.S.Lat)
 	switch {
 	case d.IsLoad:
 		e.Completion = hier.AccessData(d.MemAddr, now, false, false)
@@ -288,10 +285,8 @@ func (w *Window) Squash(keep int) {
 	for seq := w.base; seq < end; seq++ {
 		e := w.At(seq)
 		e.consumers = -1
-		for _, reg := range e.D.Inst.Writes(w.regs[:0]) {
-			if !reg.IsZeroReg() {
-				w.lastProd[reg.Flat()] = seq
-			}
+		for _, f := range e.S.Dsts() {
+			w.lastProd[f] = seq
 		}
 	}
 	// Survivors' pending counts and ReadyAt are unchanged: their producers

@@ -31,6 +31,13 @@ func branch() *sim.DynInst {
 	return &sim.DynInst{IsBranch: true, Inst: &isa.Inst{Op: isa.OpBr, QP: isa.P0}}
 }
 
+// insert inserts d with its instruction decoded as the one entry of an
+// operand table.
+func insert(w *Window, d *sim.DynInst) *Entry {
+	ops := sim.NewOperands(&isa.Program{Insts: []isa.Inst{*d.Inst}})
+	return w.Insert(d, &ops[0])
+}
+
 // polledReady is the whole-window condition event-driven wakeup replaces:
 // every live producer is done and its completion has arrived.
 func polledReady(w *Window, seq, now uint64) bool {
@@ -81,16 +88,16 @@ func hier() *mem.Hierarchy { return mem.MustNewHierarchy(mem.BaseConfig()) }
 func TestSquashReinsertStaleEdge(t *testing.T) {
 	w := New(64, 0)
 	h := hier()
-	w.Insert(alu(r(8), r(9), r(9)))      // seq 0, Q: writes r8
-	w.Insert(alu(r(1), r(9), r(9)))      // seq 1, P: writes r1
-	w.Insert(branch())                   // seq 2, mispredicts
-	c := w.Insert(alu(r(3), r(1), r(1))) // seq 3, reads P twice
+	insert(w, alu(r(8), r(9), r(9)))      // seq 0, Q: writes r8
+	insert(w, alu(r(1), r(9), r(9)))      // seq 1, P: writes r1
+	insert(w, branch())                   // seq 2, mispredicts
+	c := insert(w, alu(r(3), r(1), r(1))) // seq 3, reads P twice
 	if c.pending != 2 || woken(w, 3) {
 		t.Fatalf("consumer of an unissued producer: pending %d, woken %v", c.pending, woken(w, 3))
 	}
 	w.Squash(3)
 	// The refetched seq 3 waits on Q only; P's issue must not touch it.
-	d := w.Insert(alu(r(4), r(8), isa.R0))
+	d := insert(w, alu(r(4), r(8), isa.R0))
 	if d.pending != 1 {
 		t.Fatalf("refetched entry pending %d, want 1", d.pending)
 	}
@@ -104,7 +111,7 @@ func TestSquashReinsertStaleEdge(t *testing.T) {
 		t.Fatalf("Q's issue: woken %v readyAt %d, want true %d", woken(w, 3), d.ReadyAt, q.Completion)
 	}
 	// A consumer inserted after P issued folds P's completion in directly.
-	e := w.Insert(alu(r(5), r(1), isa.R0))
+	e := insert(w, alu(r(5), r(1), isa.R0))
 	if e.pending != 0 || e.ReadyAt != p.Completion || !woken(w, 4) {
 		t.Fatalf("late consumer: pending %d readyAt %d woken %v", e.pending, e.ReadyAt, woken(w, 4))
 	}
@@ -123,7 +130,7 @@ func TestSmallRing(t *testing.T) {
 	now := uint64(0)
 	for seq := uint64(1000); seq < 1300; seq++ {
 		// A chain: each entry reads the previous one's destination.
-		w.Insert(alu(r(1+int(seq%2)), r(1+int((seq+1)%2)), isa.R0))
+		insert(w, alu(r(1+int(seq%2)), r(1+int((seq+1)%2)), isa.R0))
 		if w.Len() < 8 {
 			continue
 		}
@@ -147,7 +154,7 @@ func TestSmallRing(t *testing.T) {
 func TestSelectAcrossWrap(t *testing.T) {
 	w := New(64, 60)
 	for seq := uint64(60); seq < 70; seq++ {
-		w.Insert(alu(r(int(seq-50)), isa.R0, isa.R0))
+		insert(w, alu(r(int(seq-50)), isa.R0, isa.R0))
 	}
 	want := uint64(60)
 	for seq, ok := w.NextWoken(w.Base()); ok; seq, ok = w.NextWoken(seq + 1) {
@@ -172,10 +179,10 @@ func TestSelectAcrossWrap(t *testing.T) {
 func TestDuplicateProducer(t *testing.T) {
 	w := New(64, 0)
 	h := hier()
-	w.Insert(alu(r(1), r(9), r(9))) // seq 0, P
-	w.Insert(&sim.DynInst{Inst: &isa.Inst{Op: isa.OpCmpEq, QP: isa.P0,
+	insert(w, alu(r(1), r(9), r(9))) // seq 0, P
+	insert(w, &sim.DynInst{Inst: &isa.Inst{Op: isa.OpCmpEq, QP: isa.P0,
 		Dst: isa.PredReg(1), Dst2: isa.PredReg(2), Src1: r(9), Src2: r(9)}}) // seq 1, cmp
-	c := w.Insert(&sim.DynInst{Inst: &isa.Inst{Op: isa.OpAdd, QP: isa.PredReg(1),
+	c := insert(w, &sim.DynInst{Inst: &isa.Inst{Op: isa.OpAdd, QP: isa.PredReg(1),
 		Dst: r(3), Src1: r(1), Src2: r(1)}})
 	if c.ndeps != 3 || c.pending != 3 {
 		t.Fatalf("consumer ndeps %d pending %d, want 3 and 3", c.ndeps, c.pending)
@@ -196,10 +203,10 @@ func TestDuplicateProducer(t *testing.T) {
 func TestStoreWaitingBefore(t *testing.T) {
 	w := New(64, 0)
 	h := hier()
-	w.Insert(alu(r(1), r(9), r(9))) // seq 0, address producer, not yet issued
-	w.Insert(store(r(1), r(2)))     // seq 1, waits on seq 0
-	w.Insert(load(r(3), r(4)))      // seq 2, independent, woken
-	w.Insert(store(r(4), r(5)))     // seq 3, younger store, woken
+	insert(w, alu(r(1), r(9), r(9))) // seq 0, address producer, not yet issued
+	insert(w, store(r(1), r(2)))     // seq 1, waits on seq 0
+	insert(w, load(r(3), r(4)))      // seq 2, independent, woken
+	insert(w, store(r(4), r(5)))     // seq 3, younger store, woken
 	if !woken(w, 2) {
 		t.Fatal("independent load not woken")
 	}
@@ -255,7 +262,7 @@ func TestRandomAgainstPolled(t *testing.T) {
 				default:
 					d = alu(reg(), reg(), reg())
 				}
-				w.Insert(d)
+				insert(w, d)
 			}
 			checkReady(t, w, now)
 			issued := 0

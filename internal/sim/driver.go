@@ -50,7 +50,9 @@ type Pipeline interface {
 // Model builds it per run, from the program image or from a checkpoint, and
 // hands it to the pipeline constructor, which embeds it.
 type Run struct {
-	Prog   *isa.Program
+	Prog *isa.Program
+	// Ops is Prog's operand table, indexed by DynInst.Index.
+	Ops    Operands
 	Hier   *mem.Hierarchy
 	Pred   *bpred.Gshare
 	Stream *Stream
@@ -144,14 +146,15 @@ func (m *Model) RunInterval(ctx context.Context, p *isa.Program, image *arch.Mem
 	return drive(ctx, m.name, m.pipeline(r))
 }
 
-// newRun builds a run's devices, cold or restored from ck's warm state, its
-// stream and front end positioned at the interval start, and for a
-// value-simulating model its own copy of the architectural state. An
-// interval's stream replays the checkpoint's recording.
+// newRun builds a run's operand table and devices, cold or restored from
+// ck's warm state, its stream and front end positioned at the interval
+// start, and for a value-simulating model its own copy of the architectural
+// state. An interval's stream replays the checkpoint's recording.
 func (m *Model) newRun(p *isa.Program, image *arch.Memory, ck *Checkpoint) (Run, error) {
 	cfg := &m.cfg
 	r := Run{
 		Prog:   p,
+		Ops:    NewOperands(p),
 		Hier:   mem.MustNewHierarchy(cfg.Hier),
 		Pred:   bpred.New(cfg.PredictorEntries),
 		skipOn: !cfg.DisableSkip,
@@ -177,7 +180,7 @@ func (m *Model) newRun(p *isa.Program, image *arch.Memory, ck *Checkpoint) (Run,
 			r.Own = &arch.State{RF: ck.RF.Clone(), Mem: ck.Mem.Clone(), PC: ck.PC, Retired: ck.Seq}
 		}
 	}
-	r.Fetch = NewFetchUnit(r.Stream, r.Hier, cfg.FetchWidth)
+	r.Fetch = NewFetchUnit(r.Stream, r.Ops, r.Hier, cfg.FetchWidth)
 	r.Fetch.StartAt(r.Start)
 	return r, nil
 }

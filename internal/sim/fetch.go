@@ -16,6 +16,7 @@ import (
 // sequences [base, nextSeq), so releasing is O(1).
 type FetchUnit struct {
 	stream *Stream
+	ops    Operands
 	hier   *mem.Hierarchy
 	width  int
 
@@ -31,10 +32,12 @@ type FetchUnit struct {
 	limit uint64 // fetch-ahead bound set by the consumer (buffer capacity)
 }
 
-// NewFetchUnit builds a front end over the stream and hierarchy.
-func NewFetchUnit(s *Stream, h *mem.Hierarchy, width int) *FetchUnit {
+// NewFetchUnit builds a front end over the stream and hierarchy; ops is the
+// operand table of the stream's program, which holds each fetch address.
+func NewFetchUnit(s *Stream, ops Operands, h *mem.Hierarchy, width int) *FetchUnit {
 	return &FetchUnit{
 		stream:   s,
+		ops:      ops,
 		hier:     h,
 		width:    width,
 		lineMask: ^uint32(h.Config().L1I.LineBytes - 1),
@@ -91,7 +94,7 @@ func (f *FetchUnit) fetchGroup() (bool, error) {
 		if d == nil {
 			break
 		}
-		line := d.Addr() & f.lineMask
+		line := f.ops[d.Index].Addr & f.lineMask
 		if !f.haveLine || line != f.lineAddr {
 			// New line: access the I-cache. A miss stalls the whole group.
 			readyAt := f.hier.AccessInst(line, groupCycle)

@@ -28,7 +28,7 @@ loop:
 func TestTakenBranchEndsFetchGroup(t *testing.T) {
 	h := mem.MustNewHierarchy(mem.BaseConfig())
 	s := NewStream(takenBranchProgram(), arch.NewMemory(), 100000)
-	f := NewFetchUnit(s, h, 6)
+	f := NewFetchUnit(s, NewOperands(s.prog), h, 6)
 	f.SetLimit(1 << 30)
 
 	// Locate the first taken loop-back branch (seq 5: movi + 4 body insts).
@@ -67,7 +67,7 @@ func TestTakenBranchEndsFetchGroup(t *testing.T) {
 func TestFetchHotLoopThroughput(t *testing.T) {
 	h := mem.MustNewHierarchy(mem.BaseConfig())
 	s := NewStream(takenBranchProgram(), arch.NewMemory(), 100000)
-	f := NewFetchUnit(s, h, 6)
+	f := NewFetchUnit(s, NewOperands(s.prog), h, 6)
 	f.SetLimit(1 << 30)
 	// Warm through the first iterations, then measure the spacing of ten
 	// later iterations.

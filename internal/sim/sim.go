@@ -46,28 +46,15 @@ type Machine interface {
 	Run(ctx context.Context, p *isa.Program, image *arch.Memory) (*Result, error)
 }
 
-// RegSet is a dense bit set over all architectural registers, used for
-// intra-group dependence checks.
+// RegSet is a dense bit set over flat register indices (isa.Reg.Flat), used
+// for intra-group dependence checks on StaticInst operand lists.
 type RegSet [(isa.NumFlatRegs + 63) / 64]uint64
 
-// Add inserts r; hardwired registers are ignored (they carry no dependence).
-func (s *RegSet) Add(r isa.Reg) {
-	if r.IsZeroReg() {
-		return
-	}
-	if f := r.Flat(); f >= 0 {
-		s[f/64] |= 1 << (f % 64)
-	}
-}
+// Add inserts flat register f.
+func (s *RegSet) Add(f int16) { s[uint(f)/64] |= 1 << (uint(f) % 64) }
 
-// Has reports whether r is in the set; hardwired registers never are.
-func (s *RegSet) Has(r isa.Reg) bool {
-	if r.IsZeroReg() {
-		return false
-	}
-	f := r.Flat()
-	return f >= 0 && s[f/64]&(1<<(f%64)) != 0
-}
+// Has reports whether flat register f is in the set.
+func (s *RegSet) Has(f int16) bool { return s[uint(f)/64]&(1<<(uint(f)%64)) != 0 }
 
 // ProducerKind distinguishes what kind of instruction last wrote a register,
 // for stall attribution (load stalls vs other stalls).

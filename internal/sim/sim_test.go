@@ -120,7 +120,7 @@ func TestStreamLimit(t *testing.T) {
 func TestFetchUnitBasics(t *testing.T) {
 	h := mem.MustNewHierarchy(mem.BaseConfig())
 	s := NewStream(testProgram(), arch.NewMemory(), 1000)
-	f := NewFetchUnit(s, h, 6)
+	f := NewFetchUnit(s, NewOperands(s.prog), h, 6)
 	f.SetLimit(1000)
 	r0, ok, err := f.ReadyAt(0)
 	if err != nil || !ok {
@@ -140,7 +140,7 @@ func TestFetchUnitBasics(t *testing.T) {
 func TestFetchFlushDelaysRefetch(t *testing.T) {
 	h := mem.MustNewHierarchy(mem.BaseConfig())
 	s := NewStream(testProgram(), arch.NewMemory(), 1000)
-	f := NewFetchUnit(s, h, 6)
+	f := NewFetchUnit(s, NewOperands(s.prog), h, 6)
 	f.SetLimit(1000)
 	before, _, _ := f.ReadyAt(6)
 	f.Flush(5, before+500)
@@ -158,7 +158,7 @@ func TestFetchFlushDelaysRefetch(t *testing.T) {
 func TestFetchLimitPanic(t *testing.T) {
 	h := mem.MustNewHierarchy(mem.BaseConfig())
 	s := NewStream(testProgram(), arch.NewMemory(), 1000)
-	f := NewFetchUnit(s, h, 6)
+	f := NewFetchUnit(s, NewOperands(s.prog), h, 6)
 	f.SetLimit(4)
 	defer func() {
 		if recover() == nil {
@@ -202,25 +202,20 @@ func TestStatsDerived(t *testing.T) {
 
 func TestRegSet(t *testing.T) {
 	var s RegSet
-	s.Add(isa.IntReg(5))
-	s.Add(isa.FPReg(5))
-	s.Add(isa.PredReg(5))
-	if !s.Has(isa.IntReg(5)) || !s.Has(isa.FPReg(5)) || !s.Has(isa.PredReg(5)) {
-		t.Error("added registers missing")
-	}
-	if s.Has(isa.IntReg(6)) {
-		t.Error("phantom member")
-	}
-	// Hardwired registers never join the set.
-	s.Add(isa.R0)
-	s.Add(isa.P0)
-	if s.Has(isa.R0) || s.Has(isa.P0) {
-		t.Error("hardwired registers must not carry dependences")
+	in := map[int16]bool{}
+	// One register of each class, plus the first and last flat index and
+	// both sides of a word boundary.
+	for _, f := range []int{isa.IntReg(5).Flat(), isa.FPReg(5).Flat(), isa.PredReg(5).Flat(), 0, 63, 64, isa.NumFlatRegs - 1} {
+		s.Add(int16(f))
+		in[int16(f)] = true
 	}
 	var zero RegSet
-	for _, r := range []isa.Reg{isa.IntReg(5), isa.FPReg(5), isa.PredReg(5)} {
-		if zero.Has(r) {
-			t.Errorf("zero RegSet has %v", r)
+	for f := int16(0); f < isa.NumFlatRegs; f++ {
+		if s.Has(f) != in[f] {
+			t.Errorf("Has(%d) = %v, want %v", f, s.Has(f), in[f])
+		}
+		if zero.Has(f) {
+			t.Errorf("zero RegSet has %d", f)
 		}
 	}
 }
@@ -283,7 +278,7 @@ func TestStreamAccessors(t *testing.T) {
 func TestFetchRelease(t *testing.T) {
 	h := mem.MustNewHierarchy(mem.BaseConfig())
 	s := NewStream(testProgram(), arch.NewMemory(), 1000)
-	f := NewFetchUnit(s, h, 6)
+	f := NewFetchUnit(s, NewOperands(s.prog), h, 6)
 	f.SetLimit(1 << 20)
 	if _, _, err := f.ReadyAt(10); err != nil {
 		t.Fatal(err)

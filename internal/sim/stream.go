@@ -27,9 +27,6 @@ type DynInst struct {
 	Halt     bool
 }
 
-// Addr returns the simulated fetch address of the instruction.
-func (d *DynInst) Addr() uint32 { return isa.InstAddr(int(d.Index)) }
-
 // Stream serves the dynamic instruction stream by sequence number,
 // retaining a sliding window of decoded instructions. Pipelines index it by
 // sequence number; Release discards entries below a given sequence. A
