@@ -142,8 +142,10 @@ const (
 // not taken), a halt is a non-squashed halt instruction, and the next index
 // is the branch target when EvTaken is set and Idx+1 otherwise. The
 // checkpoint builder in internal/sim replays these against its cache
-// hierarchy and predictor, and trace decode expands them into dynamic
-// instructions, which keeps package arch free of mem/bpred/sim imports.
+// hierarchy and predictor, and every timing model reads them, through
+// sim.Stream, as its one dynamic-instruction record, which keeps package
+// arch free of mem/bpred/sim imports. An event is 12 bytes and holds no
+// pointer, so traces and recordings of them stay small and unscanned.
 type ExecEvent struct {
 	MemAddr uint32
 	Idx     int32

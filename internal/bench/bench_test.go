@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"multipass/internal/arch"
+	"multipass/internal/isa"
 	"multipass/internal/mem"
 	"multipass/internal/sim"
 	"multipass/internal/workload"
@@ -100,6 +102,38 @@ func TestAllModelsEquivalentOnAllWorkloads(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSquashedHaltAllModels runs a program whose first halt is predicated
+// off on every registered model: a halt retires the run only when its
+// predicate is true, so each model must retire the whole stream and reach
+// the oracle's final state.
+func TestSquashedHaltAllModels(t *testing.T) {
+	p := isa.MustAssemble(`
+	movi r1 = 1
+	cmpi.eq p1, p2 = r1, 99 ;;
+	(p1) halt
+	addi r2 = r2, 5
+	halt
+`)
+	ref, err := arch.RunStepwise(p, arch.NewMemory(), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range sim.Names() {
+		m, err := sim.NewMachine(model, sim.ModelOptions{Hier: mem.BaseConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run(context.Background(), p, arch.NewMemory())
+		if err != nil {
+			t.Fatalf("%s: %v", model, err)
+		}
+		if res.Stats.Retired != ref.State.Retired || !res.RF.Equal(ref.State.RF) {
+			t.Errorf("%s: retired %d with r2 = %d, want %d with r2 = %d", model, res.Stats.Retired,
+				res.RF.Read(isa.IntReg(2)).Uint32(), ref.State.Retired, ref.State.RF.Read(isa.IntReg(2)).Uint32())
+		}
 	}
 }
 

@@ -100,7 +100,7 @@ func TestLookaheadBound(t *testing.T) {
 					// run simulates ck on its recording cut before seq cut.
 					run := func(ck *sim.Checkpoint, cut uint64) error {
 						c := *ck
-						c.Events, c.Final = cutRecording(ck.Events, cut-ck.Seq), nil
+						c.Events, c.Final = ck.Events[:cut-ck.Seq], nil
 						_, err := ir.RunInterval(ctx, tc.pr.P, tc.pr.Image, &c)
 						return err
 					}
@@ -118,7 +118,7 @@ func TestLookaheadBound(t *testing.T) {
 						if ck.Final != nil {
 							continue // the halt, not the recording, ends its reads
 						}
-						if got, want := recordingLen(ck.Events), ck.End+spec.Lookahead-ck.Seq; got != want {
+						if got, want := uint64(len(ck.Events)), ck.End+spec.Lookahead-ck.Seq; got != want {
 							t.Fatalf("interval at %d: recording of %d events, want %d", ck.Seq, got, want)
 						}
 						if i%stride != 0 {
@@ -166,27 +166,4 @@ func TestLookaheadBound(t *testing.T) {
 	if !full["cgooo"] {
 		t.Error("no full-rob interval filled cgooo's block windows")
 	}
-}
-
-// recordingLen returns the number of events in a checkpoint's recording.
-func recordingLen(rec [][]arch.ExecEvent) uint64 {
-	var n uint64
-	for _, blk := range rec {
-		n += uint64(len(blk))
-	}
-	return n
-}
-
-// cutRecording returns the first n events of a checkpoint's recording.
-func cutRecording(rec [][]arch.ExecEvent, n uint64) [][]arch.ExecEvent {
-	var cut [][]arch.ExecEvent
-	for _, blk := range rec {
-		if n == 0 {
-			break
-		}
-		k := min(uint64(len(blk)), n)
-		cut = append(cut, blk[:k])
-		n -= k
-	}
-	return cut
 }

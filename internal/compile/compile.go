@@ -98,15 +98,6 @@ func Compile(u *prog.Unit, opts Options) (*isa.Program, Info, error) {
 	return p, info, nil
 }
 
-// MustCompile is Compile for known-good units; it panics on error.
-func MustCompile(u *prog.Unit, opts Options) *isa.Program {
-	p, _, err := Compile(u, opts)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // cloneUnit deep-copies a unit so compilation never mutates the caller's IR.
 func cloneUnit(u *prog.Unit) *prog.Unit {
 	c := prog.NewUnit()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"multipass/internal/arch"
 	"multipass/internal/isa"
 	"multipass/internal/sim"
 )
@@ -119,7 +120,7 @@ func (r *run) advanceCycle() (sim.Cycle, error) {
 			r.passBlocked = true
 			break
 		}
-		in, s := d.Inst, &r.Ops[d.Index]
+		in, s := &r.Prog.Insts[d.Idx], &r.Ops[d.Idx]
 		if s.Kind == isa.KindHalt {
 			// Never pre-execute past the end of the program.
 			r.passBlocked = true
@@ -148,13 +149,14 @@ func (r *run) advanceCycle() (sim.Cycle, error) {
 		}
 
 		// Qualifying predicate.
+		taken := d.Flags&arch.EvTaken != 0
 		qp := r.readAdv(in.QP)
 		if !qp.valid {
 			if s.IsBranch() {
 				// Unresolvable branch: follow the predictor. If the
 				// prediction is actually wrong, everything fetched beyond
 				// is wrong-path for the rest of the episode.
-				if r.Pred.Predict(s.Addr) != d.Taken {
+				if r.Pred.Predict(s.Addr) != taken {
 					r.Skip.MarkDirty() // blockAt changes without a slot used
 					r.blockAt = r.peek
 					break
@@ -185,8 +187,7 @@ func (r *run) advanceCycle() (sim.Cycle, error) {
 			if !use.FitsClass(s.FU, s.Kind, &r.cfg.Caps) {
 				break
 			}
-			taken := qpTrue
-			if taken != d.Taken {
+			if qpTrue != taken {
 				// The advance value chain disagrees with the true path
 				// (possible only through data speculation): wrong-path
 				// guard ends the episode's reach here.
@@ -234,7 +235,7 @@ func (r *run) advanceCycle() (sim.Cycle, error) {
 		}
 
 		if s.IsStore() {
-			if !r.advanceStore(in, s, d, &use, &slots, &executed) {
+			if !r.advanceStore(in, s, d.MemAddr, &use, &slots, &executed) {
 				break
 			}
 			continue
@@ -338,7 +339,7 @@ func (r *run) advanceMerge(in *isa.Inst, s *sim.StaticInst, e *rsEntry) {
 
 // advanceStore processes a store in advance mode (§3.6). Returns false when
 // the cycle's group must end.
-func (r *run) advanceStore(in *isa.Inst, s *sim.StaticInst, d *sim.DynInst, use *isa.FUUse, slots, executed *int) bool {
+func (r *run) advanceStore(in *isa.Inst, s *sim.StaticInst, trueAddr uint32, use *isa.FUUse, slots, executed *int) bool {
 	mp := &r.Stats.Multipass
 	addrOp := r.readAdv(in.Src1)
 	if !addrOp.valid {
@@ -355,7 +356,7 @@ func (r *run) advanceStore(in *isa.Inst, s *sim.StaticInst, d *sim.DynInst, use 
 		return false
 	}
 	addr := addrOp.val.Uint32() + uint32(in.Imm)
-	if addr != d.MemAddr {
+	if addr != trueAddr {
 		// Data-speculation can produce a different address than the true
 		// path; poison the true location conservatively as well.
 		r.storeDeferred = true

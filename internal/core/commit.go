@@ -54,16 +54,16 @@ group:
 			r.Skip.Note(fready)
 			break
 		}
-		in, s := d.Inst, &r.Ops[d.Index]
-		if r.ownPC != int(d.Index) {
-			return sim.Cycle{}, fmt.Errorf("core: machine PC %d diverged from stream index %d at seq %d", r.ownPC, d.Index, r.next)
+		if r.ownPC != int(d.Idx) {
+			return sim.Cycle{}, fmt.Errorf("core: machine PC %d diverged from stream index %d at seq %d", r.ownPC, d.Idx, r.next)
 		}
+		in, s := &r.Prog.Insts[d.Idx], &r.Ops[d.Idx]
 		e := r.rs.get(r.next)
 
 		// Data-speculative load: re-perform the access via the SMAQ address
 		// and verify the preserved value (§3.6).
 		if e != nil && e.spec && s.IsLoad() {
-			done, err := r.commitSpecLoad(d, s, e, &use, &groupWrites, &progress, &blocker, now)
+			done, err := r.commitSpecLoad(in, s, e, &use, &groupWrites, &progress, &blocker, now)
 			if err != nil {
 				return sim.Cycle{}, err
 			}
@@ -75,7 +75,7 @@ group:
 
 		// Merge a preserved result (§3.1.3, §3.2).
 		if e != nil {
-			done, redirect, err := r.commitMerge(d, s, e, &use, &groupWrites, &progress, &blocker, now)
+			done, redirect, err := r.commitMerge(in, s, d, e, &use, &groupWrites, &progress, &blocker, now)
 			if err != nil {
 				return sim.Cycle{}, err
 			}
@@ -144,7 +144,7 @@ group:
 		}
 		use.AddClass(s.FU, s.Kind)
 
-		redirect, err := r.commitExec(d, s, qpTrue, &groupWrites, now)
+		redirect, err := r.commitExec(in, s, d, qpTrue, &groupWrites, now)
 		if err != nil {
 			return sim.Cycle{}, err
 		}
@@ -171,9 +171,7 @@ group:
 // commitMerge merges one preserved RS entry into architectural state.
 // Returns done=false when the group must end without consuming the
 // instruction, redirect=true after a merged taken branch.
-func (r *run) commitMerge(d *sim.DynInst, s *sim.StaticInst, e *rsEntry, use *isa.FUUse, groupWrites *sim.RegSet, progress *int, blocker *sim.StallKind, now uint64) (done, redirect bool, err error) {
-	in := d.Inst
-
+func (r *run) commitMerge(in *isa.Inst, s *sim.StaticInst, d *arch.ExecEvent, e *rsEntry, use *isa.FUUse, groupWrites *sim.RegSet, progress *int, blocker *sim.StallKind, now uint64) (done, redirect bool, err error) {
 	if r.cfg.DisableRegroup {
 		// Without issue regrouping, group formation treats the merged
 		// instruction like a normal one: dependences on group members split
@@ -200,10 +198,11 @@ func (r *run) commitMerge(d *sim.DynInst, s *sim.StaticInst, e *rsEntry, use *is
 	// Internal consistency: the preserved outcome must match the oracle
 	// path. Rally's in-order verify-then-flush of data-speculative loads
 	// guarantees this; a mismatch is a model bug.
-	if e.squashed != d.Squashed {
+	flags := d.Flags
+	if e.squashed != (flags&arch.EvSquash != 0) {
 		return false, false, fmt.Errorf("core: merged squash state diverged at seq %d", r.next)
 	}
-	if e.branchDone && e.branchTaken != d.Taken {
+	if e.branchDone && e.branchTaken != (flags&arch.EvTaken != 0) {
 		return false, false, fmt.Errorf("core: merged branch direction diverged at seq %d", r.next)
 	}
 
@@ -238,7 +237,7 @@ func (r *run) commitMerge(d *sim.DynInst, s *sim.StaticInst, e *rsEntry, use *is
 		r.ownPC = int(in.Target)
 		redirect = true
 	} else {
-		r.ownPC = int(d.Index) + 1
+		r.ownPC++
 	}
 	if s.Kind == isa.KindHalt {
 		// Halt never receives an RS entry (advance stops before it).
@@ -251,8 +250,8 @@ func (r *run) commitMerge(d *sim.DynInst, s *sim.StaticInst, e *rsEntry, use *is
 
 // commitSpecLoad re-performs a data-speculative load in rally mode using its
 // SMAQ address, verifying the preserved value and flushing on mismatch.
-func (r *run) commitSpecLoad(d *sim.DynInst, s *sim.StaticInst, e *rsEntry, use *isa.FUUse, groupWrites *sim.RegSet, progress *int, blocker *sim.StallKind, now uint64) (bool, error) {
-	in, seq := d.Inst, r.next
+func (r *run) commitSpecLoad(in *isa.Inst, s *sim.StaticInst, e *rsEntry, use *isa.FUUse, groupWrites *sim.RegSet, progress *int, blocker *sim.StallKind, now uint64) (bool, error) {
+	seq := r.next
 	if q := s.QP; q >= 0 {
 		if groupWrites.Has(q) {
 			return false, nil
@@ -283,7 +282,7 @@ func (r *run) commitSpecLoad(d *sim.DynInst, s *sim.StaticInst, e *rsEntry, use 
 	r.setReady(s, ready, sim.ProducerLoad, groupWrites, true)
 	r.Stats.Retired++
 	*progress++
-	r.ownPC = int(d.Index) + 1
+	r.ownPC++
 	r.rs.drop(r.next)
 	r.next++
 
@@ -304,16 +303,16 @@ func (r *run) commitSpecLoad(d *sim.DynInst, s *sim.StaticInst, e *rsEntry, use 
 
 // commitExec executes one instruction architecturally (no RS entry).
 // Returns redirect=true when issue must stop at a control transfer.
-func (r *run) commitExec(d *sim.DynInst, s *sim.StaticInst, qpTrue bool, groupWrites *sim.RegSet, now uint64) (bool, error) {
-	in, seq := d.Inst, r.next
+func (r *run) commitExec(in *isa.Inst, s *sim.StaticInst, d *arch.ExecEvent, qpTrue bool, groupWrites *sim.RegSet, now uint64) (bool, error) {
+	seq := r.next
 	r.Stats.Retired++
 	r.rs.drop(r.next)
 	r.next++
-	r.ownPC = int(d.Index) + 1
+	r.ownPC++
 
 	if s.IsBranch() {
 		taken := qpTrue
-		if taken != d.Taken {
+		if taken != (d.Flags&arch.EvTaken != 0) {
 			return false, fmt.Errorf("core: branch direction diverged from oracle at seq %d", seq)
 		}
 		if taken {

@@ -28,6 +28,7 @@ package cgooo
 import (
 	"fmt"
 
+	"multipass/internal/arch"
 	// Imported for the compiler, not for names: Go inlines another package's
 	// functions only when it imports that package, and the hot path calls
 	// Gshare.Predict through the shared sim.Run.
@@ -217,7 +218,7 @@ func (pl *pipeline) Step() (sim.Cycle, error) {
 			}
 			break
 		}
-		halt := e.D.Halt
+		halt := e.S.Kind == isa.KindHalt && e.D.Flags&arch.EvSquash == 0
 		hb := pl.blkAt(pl.blkBase)
 		w.Retire()
 		st.Retired++
@@ -280,21 +281,22 @@ func (pl *pipeline) Step() (sim.Cycle, error) {
 			}
 		}
 		b := pl.blkAt(curBlk)
-		s := &pl.Ops[d.Index]
+		s, flags := &pl.Ops[d.Idx], d.Flags
+		halt := s.Kind == isa.KindHalt && flags&arch.EvSquash == 0
 		w.Insert(d, s).Group = curBlk
 		b.n++
 		inserted++
-		if d.IsBranch || d.Halt || b.n >= cfg.BlockSize {
+		if flags&arch.EvBranch != 0 || halt || b.n >= cfg.BlockSize {
 			b.closed = true
 			pl.open = false
 			if uint64(b.n) > st.CGOOO.MaxBlockLen {
 				st.CGOOO.MaxBlockLen = uint64(b.n)
 			}
 		}
-		if d.Halt {
+		if halt {
 			break
 		}
-		if d.IsBranch && pl.Pred.Predict(s.Addr) != d.Taken {
+		if flags&arch.EvBranch != 0 && pl.Pred.Predict(s.Addr) != (flags&arch.EvTaken != 0) {
 			// Everything fetched beyond this branch would be wrong-path;
 			// stall the front end until it resolves.
 			pl.barrier = seq
@@ -321,11 +323,11 @@ func (pl *pipeline) Step() (sim.Cycle, error) {
 		blkIssued[e.Group&pl.blkMask]++
 		issued++
 
-		if e.D.IsBranch {
+		if flags := e.D.Flags; flags&arch.EvBranch != 0 {
 			if seq == pl.barrier {
 				pl.barrier = noSeq // resolved; fetch may resume
 			}
-			if !pl.Pred.Update(e.S.Addr, e.D.Taken) {
+			if !pl.Pred.Update(e.S.Addr, flags&arch.EvTaken != 0) {
 				// Block-granularity squash: the branch terminated its block,
 				// so every younger in-flight instruction belongs to a younger
 				// block; discard those blocks and refetch.

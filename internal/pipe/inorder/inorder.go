@@ -8,6 +8,7 @@ package inorder
 import (
 	"fmt"
 
+	"multipass/internal/arch"
 	"multipass/internal/isa"
 	"multipass/internal/sim"
 )
@@ -81,11 +82,11 @@ group:
 			// interval end.
 			break
 		}
-		d, err := stream.At(next)
+		e, err := stream.At(next)
 		if err != nil {
 			return sim.Cycle{}, err
 		}
-		if d == nil {
+		if e == nil {
 			return sim.Cycle{}, fmt.Errorf("inorder: stream ended before halt issued")
 		}
 		fready, ok, err := fe.ReadyAt(next)
@@ -100,7 +101,7 @@ group:
 			skip.Note(fready)
 			break
 		}
-		s := &ops[d.Index]
+		s, flags := &ops[e.Idx], e.Flags
 
 		// Qualifying predicate must be readable.
 		if q := s.QP; q >= 0 {
@@ -115,9 +116,9 @@ group:
 		}
 		// The machine simulates no values: the stream's record resolves the
 		// predicate (a branch is taken exactly when it is true).
-		qpTrue := !d.Squashed
-		if d.IsBranch {
-			qpTrue = d.Taken
+		qpTrue := flags&arch.EvSquash == 0
+		if flags&arch.EvBranch != 0 {
+			qpTrue = flags&arch.EvTaken != 0
 		}
 
 		// Source operands: needed only when the instruction will actually
@@ -163,16 +164,16 @@ group:
 		completion := now + uint64(s.Lat)
 		kind := sim.ProducerOther
 		switch {
-		case d.IsLoad:
-			completion = pl.Hier.AccessData(d.MemAddr, now, false, false)
+		case flags&arch.EvLoad != 0:
+			completion = pl.Hier.AccessData(e.MemAddr, now, false, false)
 			kind = sim.ProducerLoad
-		case d.IsStore:
+		case flags&arch.EvStore != 0:
 			// Stores retire into the machine's store path without stalling
 			// the pipeline; the access still occupies the hierarchy
 			// (allocation, MSHR).
-			pl.Hier.AccessData(d.MemAddr, now, true, false)
+			pl.Hier.AccessData(e.MemAddr, now, true, false)
 		}
-		if !d.Squashed {
+		if flags&arch.EvSquash == 0 {
 			for _, f := range s.Dsts() {
 				groupWrites.Add(f)
 				readyAt[f] = completion
@@ -180,17 +181,18 @@ group:
 			}
 		}
 
-		if s.Kind == isa.KindHalt {
+		if s.Kind == isa.KindHalt && flags&arch.EvSquash == 0 {
 			halted = true
 		}
 		next++
 
-		if d.IsBranch {
-			correct := pl.Pred.Update(s.Addr, d.Taken)
+		if flags&arch.EvBranch != 0 {
+			taken := flags&arch.EvTaken != 0
+			correct := pl.Pred.Update(s.Addr, taken)
 			if !correct {
 				fe.Flush(next, now+1+uint64(cfg.MispredictPenalty))
 			}
-			if d.Taken || !correct {
+			if taken || !correct {
 				break // no issue past a redirect in the same cycle
 			}
 		}

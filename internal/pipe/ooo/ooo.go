@@ -14,6 +14,7 @@ package ooo
 import (
 	"fmt"
 
+	"multipass/internal/arch"
 	// Imported for the compiler, not for names: Go inlines another package's
 	// functions only when it imports that package, and the hot path calls
 	// Gshare.Predict through the shared sim.Run.
@@ -189,7 +190,7 @@ func (pl *pipeline) Step() (sim.Cycle, error) {
 			}
 			break
 		}
-		halt := e.D.Halt
+		halt := e.S.Kind == isa.KindHalt && e.D.Flags&arch.EvSquash == 0
 		w.Retire()
 		st.Retired++
 		retired++
@@ -223,7 +224,7 @@ func (pl *pipeline) Step() (sim.Cycle, error) {
 			if d == nil {
 				break
 			}
-			if pl.inQueue[queueOf(pl.Ops[d.Index].FU)] >= cfg.QueueSize {
+			if pl.inQueue[queueOf(pl.Ops[d.Idx].FU)] >= cfg.QueueSize {
 				st.OOO.WindowFullCy++
 				pl.winFullIdle = inserted == 0
 				break
@@ -251,16 +252,16 @@ func (pl *pipeline) Step() (sim.Cycle, error) {
 			skip.Note(fready)
 			break
 		}
-		s := &pl.Ops[d.Index]
+		s, flags := &pl.Ops[d.Idx], d.Flags
 		e := w.Insert(d, s)
 		e.Group = uint64(queueOf(s.FU))
 		pl.inWindow++
 		pl.inQueue[e.Group]++
 		inserted++
-		if d.Halt {
+		if s.Kind == isa.KindHalt && flags&arch.EvSquash == 0 {
 			break
 		}
-		if d.IsBranch && pl.Pred.Predict(s.Addr) != d.Taken {
+		if flags&arch.EvBranch != 0 && pl.Pred.Predict(s.Addr) != (flags&arch.EvTaken != 0) {
 			// Everything fetched beyond this branch would be wrong-path;
 			// stall the front end until it resolves.
 			pl.barrier = seq
@@ -277,7 +278,7 @@ func (pl *pipeline) Step() (sim.Cycle, error) {
 		}
 		// Conservative disambiguation: all older stores must have issued
 		// before a load may.
-		if cfg.ConservativeMemOrder && e.D.IsLoad && w.StoreWaitingBefore(seq) {
+		if cfg.ConservativeMemOrder && e.D.Flags&arch.EvLoad != 0 && w.StoreWaitingBefore(seq) {
 			continue
 		}
 		if !use.FitsClass(e.S.FU, e.S.Kind, &cfg.Caps) {
@@ -289,11 +290,11 @@ func (pl *pipeline) Step() (sim.Cycle, error) {
 		pl.inQueue[e.Group]--
 		issued++
 
-		if e.D.IsBranch {
+		if flags := e.D.Flags; flags&arch.EvBranch != 0 {
 			if seq == pl.barrier {
 				pl.barrier = noSeq // resolved; fetch may resume
 			}
-			if !pl.Pred.Update(e.S.Addr, e.D.Taken) {
+			if !pl.Pred.Update(e.S.Addr, flags&arch.EvTaken != 0) {
 				// Squash younger in-flight instructions and refetch.
 				for y := seq + 1; y < w.End(); y++ {
 					if ye := w.At(y); ye.State == window.Waiting {

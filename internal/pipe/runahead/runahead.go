@@ -10,10 +10,10 @@ package runahead
 import (
 	"fmt"
 
+	"multipass/internal/arch"
 	// Imported for the compiler, not for names: Go inlines another package's
 	// functions only when it imports that package, and the hot path calls
-	// Gshare.Predict and Memory.LoadWord through the shared sim.Run.
-	_ "multipass/internal/arch"
+	// Gshare.Predict through the shared sim.Run.
 	_ "multipass/internal/bpred"
 	"multipass/internal/isa"
 	"multipass/internal/sim"
@@ -200,11 +200,11 @@ group:
 			// interval end, and no episode is entered past it.
 			break
 		}
-		d, err := r.Stream.At(r.next)
+		e, err := r.Stream.At(r.next)
 		if err != nil {
 			return sim.Cycle{}, err
 		}
-		if d == nil {
+		if e == nil {
 			return sim.Cycle{}, fmt.Errorf("runahead: stream ended before halt")
 		}
 		fready, ok, err := r.Fetch.ReadyAt(r.next)
@@ -219,7 +219,7 @@ group:
 			r.Skip.Note(fready)
 			break
 		}
-		s := &r.Ops[d.Index]
+		s, flags := &r.Ops[e.Idx], e.Flags
 
 		if q := s.QP; q >= 0 {
 			if groupWrites.Has(q) {
@@ -236,7 +236,7 @@ group:
 				break
 			}
 		}
-		qpTrue := r.Own.RF.Read(d.Inst.QP).Bool()
+		qpTrue := r.Own.RF.Read(r.Prog.Insts[e.Idx].QP).Bool()
 
 		if qpTrue && !s.IsBranch() {
 			for _, f := range s.Srcs() {
@@ -273,8 +273,8 @@ group:
 			break
 		}
 
-		if r.Own.PC != int(d.Index) {
-			return sim.Cycle{}, fmt.Errorf("runahead: own PC %d diverged from stream %d", r.Own.PC, d.Index)
+		if r.Own.PC != int(e.Idx) {
+			return sim.Cycle{}, fmt.Errorf("runahead: own PC %d diverged from stream %d", r.Own.PC, e.Idx)
 		}
 		info, err := r.Own.Step(r.Prog)
 		if err != nil {
@@ -300,16 +300,17 @@ group:
 				r.prodKind[f] = kind
 			}
 		}
-		if s.Kind == isa.KindHalt {
+		if s.Kind == isa.KindHalt && flags&arch.EvSquash == 0 {
 			r.halted = true
 		}
 		r.next++
 		if info.IsBranch {
-			correct := r.Pred.Update(s.Addr, d.Taken)
+			taken := flags&arch.EvTaken != 0
+			correct := r.Pred.Update(s.Addr, taken)
 			if !correct {
 				r.Fetch.Flush(r.next, now+1+uint64(r.cfg.MispredictPenalty))
 			}
-			if d.Taken || !correct {
+			if taken || !correct {
 				break
 			}
 		}
@@ -386,11 +387,11 @@ func (r *runState) runaheadCycle() (sim.Cycle, error) {
 		if r.peek >= r.next+runaheadLookahead {
 			break
 		}
-		d, err := r.Stream.At(r.peek)
+		e, err := r.Stream.At(r.peek)
 		if err != nil {
 			return sim.Cycle{}, err
 		}
-		if d == nil || r.Ops[d.Index].Kind == isa.KindHalt {
+		if e == nil || r.Ops[e.Idx].Kind == isa.KindHalt {
 			r.blocked = true
 			break
 		}
@@ -406,12 +407,13 @@ func (r *runState) runaheadCycle() (sim.Cycle, error) {
 			r.Skip.Note(fready)
 			break
 		}
-		in, s := d.Inst, &r.Ops[d.Index]
+		in, s := &r.Prog.Insts[e.Idx], &r.Ops[e.Idx]
+		taken := e.Flags&arch.EvTaken != 0
 
 		qpValid, qpReady, qpVal := r.readRA(in.QP)
 		if !qpValid {
 			if s.IsBranch() {
-				if r.Pred.Predict(s.Addr) != d.Taken {
+				if r.Pred.Predict(s.Addr) != taken {
 					r.blocked = true // wrong path beyond here
 					break
 				}
@@ -432,13 +434,13 @@ func (r *runState) runaheadCycle() (sim.Cycle, error) {
 		qpTrue := qpVal.Bool()
 
 		if s.IsBranch() {
-			if qpTrue != d.Taken {
+			if qpTrue != taken {
 				r.blocked = true // speculative divergence from the true path
 				break
 			}
 			slots++
 			r.peek++
-			if d.Taken {
+			if taken {
 				break
 			}
 			continue

@@ -25,6 +25,7 @@ package window
 import (
 	"math/bits"
 
+	"multipass/internal/arch"
 	"multipass/internal/isa"
 	"multipass/internal/mem"
 	"multipass/internal/sim"
@@ -43,8 +44,9 @@ const (
 // Entry is one in-flight instruction. Operands rename to at most four
 // producer sequences (QP plus three sources).
 type Entry struct {
-	D *sim.DynInst
-	// S is D's entry in the run's operand table.
+	// D is the stream's record, valid while the entry is live, and S its
+	// entry in the run's operand table.
+	D     *arch.ExecEvent
 	S     *sim.StaticInst
 	State State
 	// Group is the owning model's grouping of the entry: ooo's scheduling
@@ -126,7 +128,7 @@ func unset(bm []uint64, slot uint64) { bm[slot>>6] &^= 1 << (slot & 63) }
 // Insert renames d, whose operand-table entry is s, into seq End and
 // returns its entry, Waiting. The entry is woken at once if every producer
 // it reads has already issued.
-func (w *Window) Insert(d *sim.DynInst, s *sim.StaticInst) *Entry {
+func (w *Window) Insert(d *arch.ExecEvent, s *sim.StaticInst) *Entry {
 	seq := w.End()
 	slot := seq & w.mask
 	e := &w.ring[slot]
@@ -146,7 +148,7 @@ func (w *Window) Insert(d *sim.DynInst, s *sim.StaticInst) *Entry {
 	if e.pending == 0 {
 		set(w.woken, slot)
 	}
-	if d.IsStore {
+	if d.Flags&arch.EvStore != 0 {
 		set(w.stores, slot)
 	}
 	w.count++
@@ -216,10 +218,10 @@ func (w *Window) Issue(seq, now uint64, hier *mem.Hierarchy) *Entry {
 	unset(w.woken, slot)
 	d := e.D
 	e.Completion = now + uint64(e.S.Lat)
-	switch {
-	case d.IsLoad:
+	switch flags := d.Flags; {
+	case flags&arch.EvLoad != 0:
 		e.Completion = hier.AccessData(d.MemAddr, now, false, false)
-	case d.IsStore:
+	case flags&arch.EvStore != 0:
 		hier.AccessData(d.MemAddr, now, true, false)
 		unset(w.stores, slot)
 	}
@@ -317,7 +319,7 @@ func (w *Window) StallCause(now uint64) sim.StallKind {
 		}
 		if e.State != Waiting {
 			// Oldest unfinished is executing.
-			if e.D.IsLoad {
+			if e.D.Flags&arch.EvLoad != 0 {
 				return sim.StallLoad
 			}
 			return sim.StallOther
@@ -327,7 +329,7 @@ func (w *Window) StallCause(now uint64) sim.StallKind {
 			if dep < w.base {
 				continue
 			}
-			if p := w.At(dep); !(p.State == Done && p.Completion <= now) && p.D.IsLoad {
+			if p := w.At(dep); !(p.State == Done && p.Completion <= now) && p.D.Flags&arch.EvLoad != 0 {
 				return sim.StallLoad
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"multipass/internal/arch"
 	"multipass/internal/isa"
 	"multipass/internal/mem"
 	"multipass/internal/sim"
@@ -11,31 +12,39 @@ import (
 
 func r(i int) isa.Reg { return isa.IntReg(i) }
 
-// alu returns a dynamic add dst = a, b. Window.Insert gives each record
-// the next seq, so the helpers take none.
-func alu(dst, a, b isa.Reg) *sim.DynInst {
-	return &sim.DynInst{Inst: &isa.Inst{Op: isa.OpAdd, QP: isa.P0, Dst: dst, Src1: a, Src2: b}}
+// dyn is one dynamic instruction of a test stream: the static instruction
+// and the event its execution records. Window.Insert gives each the next
+// seq, so the helpers take none.
+type dyn struct {
+	in isa.Inst
+	ev arch.ExecEvent
 }
 
-func load(dst, addr isa.Reg) *sim.DynInst {
-	return &sim.DynInst{IsLoad: true, MemAddr: 0x1000,
-		Inst: &isa.Inst{Op: isa.OpLd4, QP: isa.P0, Dst: dst, Src1: addr}}
+// alu returns a dynamic add dst = a, b.
+func alu(dst, a, b isa.Reg) dyn {
+	return dyn{in: isa.Inst{Op: isa.OpAdd, QP: isa.P0, Dst: dst, Src1: a, Src2: b}}
 }
 
-func store(addr, val isa.Reg) *sim.DynInst {
-	return &sim.DynInst{IsStore: true, MemAddr: 0x2000,
-		Inst: &isa.Inst{Op: isa.OpSt4, QP: isa.P0, Src1: addr, Src2: val}}
+func load(dst, addr isa.Reg) dyn {
+	return dyn{in: isa.Inst{Op: isa.OpLd4, QP: isa.P0, Dst: dst, Src1: addr},
+		ev: arch.ExecEvent{Flags: arch.EvLoad, MemAddr: 0x1000}}
 }
 
-func branch() *sim.DynInst {
-	return &sim.DynInst{IsBranch: true, Inst: &isa.Inst{Op: isa.OpBr, QP: isa.P0}}
+func store(addr, val isa.Reg) dyn {
+	return dyn{in: isa.Inst{Op: isa.OpSt4, QP: isa.P0, Src1: addr, Src2: val},
+		ev: arch.ExecEvent{Flags: arch.EvStore, MemAddr: 0x2000}}
 }
 
-// insert inserts d with its instruction decoded as the one entry of an
-// operand table.
-func insert(w *Window, d *sim.DynInst) *Entry {
-	ops := sim.NewOperands(&isa.Program{Insts: []isa.Inst{*d.Inst}})
-	return w.Insert(d, &ops[0])
+func branch() dyn {
+	return dyn{in: isa.Inst{Op: isa.OpBr, QP: isa.P0}, ev: arch.ExecEvent{Flags: arch.EvBranch}}
+}
+
+// insert inserts d as a run does: its event, whose Idx indexes a program of
+// the one instruction, with that instruction's operand-table entry.
+func insert(w *Window, d dyn) *Entry {
+	ops := sim.NewOperands(&isa.Program{Insts: []isa.Inst{d.in}})
+	ev := d.ev
+	return w.Insert(&ev, &ops[ev.Idx])
 }
 
 // polledReady is the whole-window condition event-driven wakeup replaces:
@@ -180,9 +189,9 @@ func TestDuplicateProducer(t *testing.T) {
 	w := New(64, 0)
 	h := hier()
 	insert(w, alu(r(1), r(9), r(9))) // seq 0, P
-	insert(w, &sim.DynInst{Inst: &isa.Inst{Op: isa.OpCmpEq, QP: isa.P0,
+	insert(w, dyn{in: isa.Inst{Op: isa.OpCmpEq, QP: isa.P0,
 		Dst: isa.PredReg(1), Dst2: isa.PredReg(2), Src1: r(9), Src2: r(9)}}) // seq 1, cmp
-	c := insert(w, &sim.DynInst{Inst: &isa.Inst{Op: isa.OpAdd, QP: isa.PredReg(1),
+	c := insert(w, dyn{in: isa.Inst{Op: isa.OpAdd, QP: isa.PredReg(1),
 		Dst: r(3), Src1: r(1), Src2: r(1)}})
 	if c.ndeps != 3 || c.pending != 3 {
 		t.Fatalf("consumer ndeps %d pending %d, want 3 and 3", c.ndeps, c.pending)
@@ -250,11 +259,11 @@ func TestRandomAgainstPolled(t *testing.T) {
 				w.Retire()
 			}
 			for n := rng.Intn(4); n > 0 && w.Len() < capacity; n-- {
-				var d *sim.DynInst
+				var d dyn
 				switch rng.Intn(6) {
 				case 0:
 					d = load(reg(), reg())
-					d.MemAddr = uint32(rng.Intn(1 << 20))
+					d.ev.MemAddr = uint32(rng.Intn(1 << 20))
 				case 1:
 					d = store(reg(), reg())
 				case 2:
@@ -272,7 +281,7 @@ func TestRandomAgainstPolled(t *testing.T) {
 				}
 				e := w.Issue(seq, now, h)
 				issued++
-				if e.D.IsBranch && rng.Intn(3) == 0 {
+				if e.D.Flags&arch.EvBranch != 0 && rng.Intn(3) == 0 {
 					w.Squash(int(seq - w.Base() + 1))
 					break
 				}

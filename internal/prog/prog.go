@@ -43,16 +43,6 @@ func (u *Unit) NewBlock(label string) *Block {
 	return b
 }
 
-// BlockByLabel returns the block with the given label, or nil.
-func (u *Unit) BlockByLabel(label string) *Block {
-	for _, b := range u.Blocks {
-		if b.Label == label {
-			return b
-		}
-	}
-	return nil
-}
-
 // Emit appends an instruction with an optional symbolic branch target and
 // returns a pointer to the stored instruction for further adjustment (for
 // example to set the qualifying predicate).
@@ -233,13 +223,4 @@ func (u *Unit) Link() (*isa.Program, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// MustLink is Link for known-good units; it panics on error.
-func (u *Unit) MustLink() *isa.Program {
-	p, err := u.Link()
-	if err != nil {
-		panic(err)
-	}
-	return p
 }

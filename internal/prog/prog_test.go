@@ -83,16 +83,14 @@ func TestVerifyCatchesErrors(t *testing.T) {
 
 func TestSuccs(t *testing.T) {
 	u := buildCountdown(3)
-	loop := u.BlockByLabel("loop")
+	entry, loop, exit := u.Blocks[0], u.Blocks[1], u.Blocks[2]
 	succs := loop.Succs("exit")
 	if len(succs) != 2 || succs[0] != "loop" || succs[1] != "exit" {
 		t.Errorf("loop succs = %v", succs)
 	}
-	entry := u.BlockByLabel("entry")
 	if s := entry.Succs("loop"); len(s) != 1 || s[0] != "loop" {
 		t.Errorf("entry succs = %v", s)
 	}
-	exit := u.BlockByLabel("exit")
 	if s := exit.Succs(""); len(s) != 0 {
 		t.Errorf("exit succs = %v", s)
 	}
@@ -127,7 +125,11 @@ func TestPredicatedEmit(t *testing.T) {
 	b.MovI(isa.IntReg(2), 100).QP = isa.PredReg(1)
 	b.MovI(isa.IntReg(3), 200).QP = isa.PredReg(2)
 	b.Halt()
-	res, err := arch.Run(u.MustLink(), arch.NewMemory(), 100)
+	p, err := u.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := arch.Run(p, arch.NewMemory(), 100)
 	if err != nil {
 		t.Fatal(err)
 	}

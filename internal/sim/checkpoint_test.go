@@ -17,7 +17,7 @@ import (
 // value-simulating model, and execute the interval on the clone, and the
 // producer keeps writing the memory every checkpoint was cloned from. Every
 // instruction executed on the clone, and every one the interval's recording
-// replays, must decode to the pre-decoded trace's record. Afterwards every
+// holds, must equal the pre-decoded trace's record. Afterwards every
 // checkpoint memory must still equal the memory a fresh run reaches at its
 // sequence. Run it under -race.
 func TestCheckpointClonesConcurrent(t *testing.T) {
@@ -44,11 +44,9 @@ func TestCheckpointClonesConcurrent(t *testing.T) {
 		for own.Retired < end {
 			seq := own.Retired
 			_, n, err := sb.ExecTrace(own, end, evs)
-			for i := range n {
-				var d DynInst
-				decode(&d, p, &evs[i])
-				if d != tr.insts[seq+uint64(i)] {
-					return fmt.Errorf("checkpoint %d: clone executed %+v at seq %d, want %+v", ck.Seq, d, seq+uint64(i), tr.insts[seq+uint64(i)])
+			for i, e := range evs[:n] {
+				if want := tr.events[seq+uint64(i)]; e != want {
+					return fmt.Errorf("checkpoint %d: clone executed %+v at seq %d, want %+v", ck.Seq, e, seq+uint64(i), want)
 				}
 			}
 			if err != nil {
@@ -58,14 +56,14 @@ func TestCheckpointClonesConcurrent(t *testing.T) {
 				return fmt.Errorf("checkpoint %d: clone stopped at seq %d before %d", ck.Seq, seq, end)
 			}
 		}
-		s := StreamFrom(p, ck)
+		s := StreamFrom(ck)
 		for seq := ck.Seq; seq < end; seq++ {
 			d, err := s.At(seq)
 			if err != nil {
 				return err
 			}
-			if d == nil || *d != tr.insts[seq] {
-				return fmt.Errorf("checkpoint %d: seq %d = %+v, want %+v", ck.Seq, seq, d, tr.insts[seq])
+			if d == nil || *d != tr.events[seq] {
+				return fmt.Errorf("checkpoint %d: seq %d = %+v, want %+v", ck.Seq, seq, d, tr.events[seq])
 			}
 			s.Release(seq)
 		}

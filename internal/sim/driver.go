@@ -51,7 +51,7 @@ type Pipeline interface {
 // hands it to the pipeline constructor, which embeds it.
 type Run struct {
 	Prog *isa.Program
-	// Ops is Prog's operand table, indexed by DynInst.Index.
+	// Ops is Prog's operand table, indexed by the stream's ExecEvent.Idx.
 	Ops    Operands
 	Hier   *mem.Hierarchy
 	Pred   *bpred.Gshare
@@ -172,7 +172,7 @@ func (m *Model) newRun(p *isa.Program, image *arch.Memory, ck *Checkpoint) (Run,
 		if err := r.Pred.RestoreWarm(ck.Pred); err != nil {
 			return Run{}, err
 		}
-		r.Stream = StreamFrom(p, ck)
+		r.Stream = StreamFrom(ck)
 		if m.values {
 			if ck.RF == nil || ck.Mem == nil {
 				return Run{}, fmt.Errorf("%s: checkpoint at seq %d carries no architectural state", m.name, ck.Seq)

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"multipass/internal/arch"
+	"multipass/internal/isa"
 	"multipass/internal/mem"
 )
 
@@ -87,14 +89,15 @@ func (f *FetchUnit) fetchGroup() (bool, error) {
 	fetched := 0
 	groupCycle := f.cycle
 	for fetched < f.width && f.nextSeq < f.limit {
-		d, err := f.stream.At(f.nextSeq)
+		e, err := f.stream.At(f.nextSeq)
 		if err != nil {
 			return false, err
 		}
-		if d == nil {
+		if e == nil {
 			break
 		}
-		line := f.ops[d.Index].Addr & f.lineMask
+		s, flags := &f.ops[e.Idx], e.Flags
+		line := s.Addr & f.lineMask
 		if !f.haveLine || line != f.lineAddr {
 			// New line: access the I-cache. A miss stalls the whole group.
 			readyAt := f.hier.AccessInst(line, groupCycle)
@@ -112,12 +115,12 @@ func (f *FetchUnit) fetchGroup() (bool, error) {
 		f.ready[f.nextSeq&uint64(len(f.ready)-1)] = groupCycle + 1
 		f.nextSeq++
 		fetched++
-		if d.Halt {
+		if s.Kind == isa.KindHalt && flags&arch.EvSquash == 0 {
 			break
 		}
 		// A taken branch ends the fetch group (redirect consumes the rest
 		// of the group's slots), without a bubble when predicted.
-		if d.IsBranch && d.Taken {
+		if flags&arch.EvTaken != 0 {
 			f.haveLine = false
 			break
 		}

@@ -27,8 +27,9 @@ loop:
 // group), while a not-taken branch lets the group continue.
 func TestTakenBranchEndsFetchGroup(t *testing.T) {
 	h := mem.MustNewHierarchy(mem.BaseConfig())
-	s := NewStream(takenBranchProgram(), arch.NewMemory(), 100000)
-	f := NewFetchUnit(s, NewOperands(s.prog), h, 6)
+	p := takenBranchProgram()
+	s := NewStream(p, arch.NewMemory(), 100000)
+	f := NewFetchUnit(s, NewOperands(p), h, 6)
 	f.SetLimit(1 << 30)
 
 	// Locate the first taken loop-back branch (seq 5: movi + 4 body insts).
@@ -36,7 +37,7 @@ func TestTakenBranchEndsFetchGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.IsBranch || !d.Taken {
+	if d.Flags != arch.EvBranch|arch.EvTaken {
 		t.Fatalf("seq 5 is not the taken branch: %+v", d)
 	}
 	rBr, _, err := f.ReadyAt(5)
@@ -57,7 +58,7 @@ func TestTakenBranchEndsFetchGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dl == nil || !dl.Halt {
+	if dl == nil || !isHalt(p, dl) {
 		t.Fatalf("end sequence wrong: %+v", dl)
 	}
 }
@@ -66,8 +67,9 @@ func TestTakenBranchEndsFetchGroup(t *testing.T) {
 // be delivered at roughly one group per cycle, not be I-cache limited.
 func TestFetchHotLoopThroughput(t *testing.T) {
 	h := mem.MustNewHierarchy(mem.BaseConfig())
-	s := NewStream(takenBranchProgram(), arch.NewMemory(), 100000)
-	f := NewFetchUnit(s, NewOperands(s.prog), h, 6)
+	p := takenBranchProgram()
+	s := NewStream(p, arch.NewMemory(), 100000)
+	f := NewFetchUnit(s, NewOperands(p), h, 6)
 	f.SetLimit(1 << 30)
 	// Warm through the first iterations, then measure the spacing of ten
 	// later iterations.

@@ -43,7 +43,7 @@ func (s *StaticInst) IsBranch() bool { return s.Kind == isa.KindBranch }
 
 // Operands is a program's operand table: entry i decodes Insts[i]. A run
 // builds it once from Run.Prog, and every loop indexes it by
-// DynInst.Index.
+// ExecEvent.Idx.
 type Operands []StaticInst
 
 // NewOperands decodes every instruction of p.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -23,13 +24,20 @@ loop:
 `)
 }
 
+// isHalt reports whether e retires the halt of p: a halt instruction whose
+// qualifying predicate was true.
+func isHalt(p *isa.Program, e *arch.ExecEvent) bool {
+	return p.Insts[e.Idx].Op.Kind() == isa.KindHalt && e.Flags&arch.EvSquash == 0
+}
+
 func TestStreamProducesDynamicSequence(t *testing.T) {
-	s := NewStream(testProgram(), arch.NewMemory(), 1000)
+	p := testProgram()
+	s := NewStream(p, arch.NewMemory(), 1000)
 	// 2 setup + 3 iterations of 4 + halt = 15 dynamic instructions, in this
 	// static order.
 	want := []int32{0, 1, 2, 3, 4, 5, 2, 3, 4, 5, 2, 3, 4, 5, 6}
 	var got []int32
-	var last *DynInst
+	var last *arch.ExecEvent
 	for seq := uint64(0); ; seq++ {
 		d, err := s.At(seq)
 		if err != nil {
@@ -38,16 +46,16 @@ func TestStreamProducesDynamicSequence(t *testing.T) {
 		if d == nil {
 			break
 		}
-		got = append(got, d.Index)
+		got = append(got, d.Idx)
 		last = d
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("static indices %v, want %v", got, want)
 	}
-	if last == nil || !last.Halt {
+	if last == nil || !isHalt(p, last) {
 		t.Fatal("stream did not end with halt")
 	}
-	if d, err := s.At(14); err != nil || d == nil || !d.Halt {
+	if d, err := s.At(14); err != nil || d == nil || !isHalt(p, d) {
 		t.Errorf("At(14) = %+v, %v; want the halt", d, err)
 	}
 	if d, err := s.At(15); err != nil || d != nil {
@@ -55,17 +63,29 @@ func TestStreamProducesDynamicSequence(t *testing.T) {
 	}
 }
 
-// TestDynInstSize pins the dynamic instruction record at 24 bytes: a trace
-// holds one per retired instruction, so every byte here costs TraceLimit
-// bytes in a full-size trace.
-func TestDynInstSize(t *testing.T) {
-	if got := unsafe.Sizeof(DynInst{}); got != 24 {
-		t.Fatalf("sizeof(DynInst) = %d, want 24", got)
+// TestExecEventLayout pins the stream's record at 12 bytes with no pointer
+// field. A trace holds one per retired instruction, so every byte here
+// costs TraceLimit bytes in a full-size trace, and a pointer-free record
+// keeps traces and recordings out of the collector's scan.
+func TestExecEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(arch.ExecEvent{}); got != 12 {
+		t.Fatalf("sizeof(ExecEvent) = %d, want 12", got)
+	}
+	typ := reflect.TypeOf(arch.ExecEvent{})
+	for i := range typ.NumField() {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("ExecEvent.%s is a %s, which may hold a pointer", f.Name, f.Type)
+		}
 	}
 }
 
 func TestStreamBranchMetadata(t *testing.T) {
-	s := NewStream(testProgram(), arch.NewMemory(), 1000)
+	p := testProgram()
+	s := NewStream(p, arch.NewMemory(), 1000)
+	const branch = arch.EvBranch | arch.EvTaken
 	// Seq 5 is the first (p1) br loop, taken twice then not taken: the
 	// record after a taken branch sits at its target.
 	d, err := s.At(5)
@@ -76,12 +96,12 @@ func TestStreamBranchMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.IsBranch || !d.Taken || next.Index != d.Inst.Target || next.Index != 2 {
+	if d.Flags != branch || next.Idx != p.Insts[d.Idx].Target || next.Idx != 2 {
 		t.Errorf("first branch: %+v, next %+v", d, next)
 	}
 	d, _ = s.At(13)
 	next, _ = s.At(14)
-	if !d.IsBranch || d.Taken || next.Index != d.Index+1 {
+	if d.Flags != arch.EvBranch || next.Idx != d.Idx+1 {
 		t.Errorf("last branch should be not taken and fall through: %+v, next %+v", d, next)
 	}
 }
@@ -90,11 +110,11 @@ func TestStreamReleaseAndPointerStability(t *testing.T) {
 	s := NewStream(testProgram(), arch.NewMemory(), 1000)
 	d3, _ := s.At(3)
 	d9, _ := s.At(9)
-	idx3, idx9 := d3.Index, d9.Index
+	idx3, idx9 := d3.Idx, d9.Idx
 	s.Release(8)
 	// Held pointers stay valid after release.
-	if d3.Index != idx3 || d9.Index != idx9 {
-		t.Fatal("DynInst pointers invalidated by Release")
+	if d3.Idx != idx3 || d9.Idx != idx9 {
+		t.Fatal("record pointers invalidated by Release")
 	}
 	// Window access below the base panics.
 	defer func() {
@@ -119,8 +139,9 @@ func TestStreamLimit(t *testing.T) {
 
 func TestFetchUnitBasics(t *testing.T) {
 	h := mem.MustNewHierarchy(mem.BaseConfig())
-	s := NewStream(testProgram(), arch.NewMemory(), 1000)
-	f := NewFetchUnit(s, NewOperands(s.prog), h, 6)
+	p := testProgram()
+	s := NewStream(p, arch.NewMemory(), 1000)
+	f := NewFetchUnit(s, NewOperands(p), h, 6)
 	f.SetLimit(1000)
 	r0, ok, err := f.ReadyAt(0)
 	if err != nil || !ok {
@@ -139,8 +160,9 @@ func TestFetchUnitBasics(t *testing.T) {
 
 func TestFetchFlushDelaysRefetch(t *testing.T) {
 	h := mem.MustNewHierarchy(mem.BaseConfig())
-	s := NewStream(testProgram(), arch.NewMemory(), 1000)
-	f := NewFetchUnit(s, NewOperands(s.prog), h, 6)
+	p := testProgram()
+	s := NewStream(p, arch.NewMemory(), 1000)
+	f := NewFetchUnit(s, NewOperands(p), h, 6)
 	f.SetLimit(1000)
 	before, _, _ := f.ReadyAt(6)
 	f.Flush(5, before+500)
@@ -157,8 +179,9 @@ func TestFetchFlushDelaysRefetch(t *testing.T) {
 
 func TestFetchLimitPanic(t *testing.T) {
 	h := mem.MustNewHierarchy(mem.BaseConfig())
-	s := NewStream(testProgram(), arch.NewMemory(), 1000)
-	f := NewFetchUnit(s, NewOperands(s.prog), h, 6)
+	p := testProgram()
+	s := NewStream(p, arch.NewMemory(), 1000)
+	f := NewFetchUnit(s, NewOperands(p), h, 6)
 	f.SetLimit(4)
 	defer func() {
 		if recover() == nil {
@@ -252,7 +275,8 @@ func TestProducerKindStallMapping(t *testing.T) {
 }
 
 func TestStreamAccessors(t *testing.T) {
-	s := NewStream(testProgram(), arch.NewMemory(), 1000)
+	p := testProgram()
+	s := NewStream(p, arch.NewMemory(), 1000)
 	end := uint64(0)
 	for ; ; end++ {
 		d, err := s.At(end)
@@ -263,7 +287,7 @@ func TestStreamAccessors(t *testing.T) {
 			break
 		}
 	}
-	if d, err := s.At(end - 1); err != nil || d == nil || !d.Halt {
+	if d, err := s.At(end - 1); err != nil || d == nil || !isHalt(p, d) {
 		t.Errorf("At(%d) = %+v, %v after full interpretation; want the halt", end-1, d, err)
 	}
 	fin := s.FinalState()
@@ -277,8 +301,9 @@ func TestStreamAccessors(t *testing.T) {
 
 func TestFetchRelease(t *testing.T) {
 	h := mem.MustNewHierarchy(mem.BaseConfig())
-	s := NewStream(testProgram(), arch.NewMemory(), 1000)
-	f := NewFetchUnit(s, NewOperands(s.prog), h, 6)
+	p := testProgram()
+	s := NewStream(p, arch.NewMemory(), 1000)
+	f := NewFetchUnit(s, NewOperands(p), h, 6)
 	f.SetLimit(1 << 20)
 	if _, _, err := f.ReadyAt(10); err != nil {
 		t.Fatal(err)

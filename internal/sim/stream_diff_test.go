@@ -16,12 +16,13 @@ import (
 )
 
 // stepwiseRef is a program's dynamic instruction sequence as State.Step
-// produces it, one instruction at a time: the reference every
-// superblock-decoded stream must equal field by field.
+// produces it, one instruction at a time: the reference every stream must
+// equal field by field.
 type stepwiseRef struct {
-	insts []DynInst
-	final *arch.State
-	err   error // the lazy stream's error at seq len(insts), if any
+	p      *isa.Program
+	events []arch.ExecEvent
+	final  *arch.State
+	err    error // the lazy stream's error at seq len(events), if any
 	// mid is a sequence past the middle, on a branch whose static
 	// predecessor retired just before it where one exists, so a stream
 	// started there may enter between the halves of a fused pair.
@@ -31,11 +32,11 @@ type stepwiseRef struct {
 func buildStepwiseRef(p *isa.Program, image *arch.Memory, limit uint64) *stepwiseRef {
 	n := refLen(p, image, limit)
 	st := arch.NewState(image.Clone())
-	ref := &stepwiseRef{final: st}
+	ref := &stepwiseRef{p: p, final: st}
 	for !st.Halted {
 		if ref.mid == 0 && st.Retired >= n/2 && st.Retired > 0 {
-			prev := &ref.insts[st.Retired-1]
-			if in := &p.Insts[st.PC]; st.Retired >= min(n/2+1000, n-1) || (in.Op.IsBranch() && int(prev.Index) == st.PC-1) {
+			prev := &ref.events[st.Retired-1]
+			if in := &p.Insts[st.PC]; st.Retired >= min(n/2+1000, n-1) || (in.Op.IsBranch() && int(prev.Idx) == st.PC-1) {
 				ref.mid = st.Retired
 			}
 		}
@@ -49,17 +50,24 @@ func buildStepwiseRef(p *isa.Program, image *arch.Memory, limit uint64) *stepwis
 			ref.err = err
 			return ref
 		}
-		ref.insts = append(ref.insts, DynInst{
-			Inst:     &p.Insts[idx],
-			Index:    int32(idx),
-			MemAddr:  info.MemAddr,
-			Squashed: info.Squashed,
-			IsLoad:   info.IsLoad,
-			IsStore:  info.IsStore,
-			IsBranch: info.IsBranch,
-			Taken:    info.Taken,
-			Halt:     st.Halted,
-		})
+		// Each flag is its StepInfo field; MemAddr is zero unless a load or
+		// store executed.
+		var flags uint8
+		for _, f := range []struct {
+			set bool
+			bit uint8
+		}{
+			{info.IsLoad, arch.EvLoad},
+			{info.IsStore, arch.EvStore},
+			{info.IsBranch, arch.EvBranch},
+			{info.Taken, arch.EvTaken},
+			{info.Squashed, arch.EvSquash},
+		} {
+			if f.set {
+				flags |= f.bit
+			}
+		}
+		ref.events = append(ref.events, arch.ExecEvent{MemAddr: info.MemAddr, Idx: int32(idx), Flags: flags})
 	}
 	return ref
 }
@@ -79,29 +87,33 @@ func refLen(p *isa.Program, image *arch.Memory, limit uint64) uint64 {
 // checkStream drains s from seq from, holding the last hold records and
 // checking each against the reference both when it is produced and again
 // just before it is released, so a record reused while still held shows.
+// Exactly the last record of a halting reference must read as the halt.
 // The end of the stream must match too: nil after the halt, or the
 // reference's error at the same sequence.
 func checkStream(t *testing.T, label string, s *Stream, ref *stepwiseRef, from uint64, hold int) {
 	t.Helper()
-	var held []*DynInst // the records at sequences seq+1-len(held) .. seq
-	for seq := from; seq < uint64(len(ref.insts)); seq++ {
+	end := uint64(len(ref.events))
+	var held []*arch.ExecEvent // the records at sequences seq+1-len(held) .. seq
+	for seq := from; seq < end; seq++ {
 		d, err := s.At(seq)
 		if err != nil {
 			t.Fatalf("%s: seq %d: %v", label, seq, err)
 		}
-		if d == nil || *d != ref.insts[seq] {
-			t.Fatalf("%s: seq %d = %+v, want %+v", label, seq, d, ref.insts[seq])
+		if d == nil || *d != ref.events[seq] {
+			t.Fatalf("%s: seq %d = %+v, want %+v", label, seq, d, ref.events[seq])
+		}
+		if halt := isHalt(ref.p, d); halt != (ref.err == nil && seq == end-1) {
+			t.Fatalf("%s: seq %d of %d reads as halt %v", label, seq, end, halt)
 		}
 		held = append(held, d)
 		if len(held) > hold {
-			if old, oldSeq := held[0], seq-uint64(hold); *old != ref.insts[oldSeq] {
+			if old, oldSeq := held[0], seq-uint64(hold); *old != ref.events[oldSeq] {
 				t.Fatalf("%s: held seq %d changed to %+v", label, oldSeq, old)
 			}
 			held = held[1:]
 			s.Release(seq + 1 - uint64(hold))
 		}
 	}
-	end := uint64(len(ref.insts))
 	d, err := s.At(end)
 	switch {
 	case ref.err == nil && (d != nil || err != nil):
@@ -139,10 +151,11 @@ end:
 	halt
 `
 
-// TestStreamDifferential pins every superblock-decoded stream to the
-// step-wise reference, field by field: the pre-decoded trace, the lazy
-// stream from reset, and the stream replaying a mid-stream checkpoint's
-// recording, over the 12 kernels, 50 generated programs, and squashSrc.
+// TestStreamDifferential pins every stream source to the step-wise
+// reference, field by field, through checkStream: the pre-decoded trace
+// read in place, the lazy stream from reset, and the stream reading a
+// mid-stream checkpoint's recording, over the 12 kernels, 50 generated
+// programs, and squashSrc.
 func TestStreamDifferential(t *testing.T) {
 	type prog struct {
 		name  string
@@ -172,22 +185,20 @@ func TestStreamDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: BuildTrace: %v", pg.name, err)
 		}
-		if tr.Len() != uint64(len(ref.insts)) {
-			t.Fatalf("%s: trace length %d, want %d", pg.name, tr.Len(), len(ref.insts))
+		if tr.Len() != uint64(len(ref.events)) {
+			t.Fatalf("%s: trace length %d, want %d", pg.name, tr.Len(), len(ref.events))
 		}
-		for seq := range tr.insts {
-			if tr.insts[seq] != ref.insts[seq] {
-				t.Fatalf("%s: trace seq %d = %+v, want %+v", pg.name, seq, tr.insts[seq], ref.insts[seq])
-			}
+		s := StreamFor(pg.p, pg.image, math.MaxUint64, tr)
+		if s.sb != nil {
+			t.Fatalf("%s: StreamFor interprets instead of reading the trace", pg.name)
 		}
-		checkFinal(t, pg.name+" trace", tr.FinalState(), ref.final)
-
+		checkStream(t, pg.name+" StreamFor", s, ref, 0, hold)
 		checkStream(t, pg.name+" NewStream", NewStream(pg.p, pg.image.Clone(), math.MaxUint64), ref, 0, hold)
 		if ref.mid == 0 {
 			t.Fatalf("%s: no mid-stream sequence", pg.name)
 		}
 		ck := midCheckpoint(t, pg.p, pg.image, ref.mid)
-		checkStream(t, fmt.Sprintf("%s StreamFrom(%d)", pg.name, ck.Seq), StreamFrom(pg.p, ck), ref, ck.Seq, hold)
+		checkStream(t, fmt.Sprintf("%s StreamFrom(%d)", pg.name, ck.Seq), StreamFrom(ck), ref, ck.Seq, hold)
 	}
 }
 
